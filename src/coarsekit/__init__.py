@@ -61,6 +61,7 @@ from .metric_core import (
     FiniteMetricSpace,
     Subset,
     build_space,
+    components,
     diameter,
     dist_point_to_set,
     dist_set_to_set,
@@ -74,6 +75,7 @@ from .msp import (
     ProbMeasure,
     asdim_to_msp,
     best_mass_family,
+    half_mass_witness,
     map_msp_check,
     msp_pullback,
     msp_pushforward,

@@ -15,15 +15,8 @@ import sys
 import time
 
 from .controls import as_control
-from .covers import (
-    FamilyOfSets,
-    dim_at_scale,
-    lebesgue_number,
-    make_disjoint,
-    mesh,
-)
+from .covers import dim_at_scale, lebesgue_number, make_disjoint, mesh
 from .coarse_maps import (
-    CoarseMap,
     control_upper,
     factorize,
     group_quotient,
@@ -31,32 +24,19 @@ from .coarse_maps import (
     n_to_1_profile,
     pushforward_cover,
 )
-from .dimension import (
-    DimSequenceWitness,
-    apc_normalize,
-    apc_pullback,
-    apc_pushforward,
-    apc_witness,
-)
-from .errors import (
-    CertificateError,
-    CoarseKitError,
-    InputError,
-    MetricError,
-    PreconditionError,
-    Refusal,
-)
+from .dimension import apc_normalize, apc_pullback, apc_pushforward, apc_witness
+from .errors import CertificateError, InputError, MetricError, PreconditionError, Refusal
 from .msp import (
-    ProbMeasure,
     best_mass_family,
+    half_mass_witness,
     map_msp_check,
     msp_pullback,
     msp_pushforward,
-    pushforward_measure,
     transfer_measure_selection,
 )
 from .serialization import (
     digest,
+    dim_sequence_from_json,
     dumps_report,
     family_from_json,
     family_to_json,
@@ -95,6 +75,10 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise _UsageError(f"input file not found: {path}")
+    except OSError as e:
+        raise _UsageError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError:
+        raise _UsageError(f"{path} is not UTF-8 text")
     except json.JSONDecodeError as e:
         raise _UsageError(f"malformed JSON in {path} at line {e.lineno}, column {e.colno}")
 
@@ -107,8 +91,10 @@ def _control_arg(value: str):
         obj = _load_json(value)
     try:
         return as_control(obj)
-    except InputError as e:
-        raise _UsageError(str(e))
+    except KeyError as e:
+        raise _UsageError(f"control {value}: missing field {e}")
+    except (InputError, TypeError, ValueError) as e:
+        raise _UsageError(f"control {value}: {e}")
 
 
 def _scales_arg(value: str) -> list[float]:
@@ -132,66 +118,30 @@ class _Inputs:
         self.args = args
         self.digests: dict = {}
 
-    def _file(self, attr):
+    def load(self, attr, decode, *ctx):
+        """Decode the JSON file named by ``args.<attr>``; bad content is a usage error."""
         path = getattr(self.args, attr)
         obj = _load_json(path)
         self.digests[attr] = digest(path)
-        return obj
-
-    def space(self, attr="space"):
         try:
-            return space_from_json(self._file(attr))
-        except (MetricError, InputError) as e:
-            raise _UsageError(f"{getattr(self.args, attr)}: {e}")
-
-    def family(self, space, attr="cover"):
-        try:
-            return family_from_json(self._file(attr), space)
-        except (InputError,) as e:
-            raise _UsageError(f"{getattr(self.args, attr)}: {e}")
-
-    def map(self, domain, codomain, attr="map"):
-        try:
-            return map_from_json(self._file(attr), domain, codomain)
-        except (InputError,) as e:
-            raise _UsageError(f"{getattr(self.args, attr)}: {e}")
-
-    def measure(self, space, attr="measure"):
-        try:
-            return measure_from_json(self._file(attr), space)
-        except (InputError,) as e:
-            raise _UsageError(f"{getattr(self.args, attr)}: {e}")
-
-    def action(self, space, attr="action"):
-        try:
-            return action_from_json(self._file(attr), space)
-        except (InputError,) as e:
-            raise _UsageError(f"{getattr(self.args, attr)}: {e}")
-
-    def tree(self, space, attr="tree"):
-        try:
-            return tree_from_json(self._file(attr), space)
-        except (InputError,) as e:
-            raise _UsageError(f"{getattr(self.args, attr)}: {e}")
-
-    def witness(self, space, attr="witness"):
-        try:
-            return witness_from_json(self._file(attr), space)
-        except (InputError,) as e:
-            raise _UsageError(f"{getattr(self.args, attr)}: {e}")
+            return decode(obj, *ctx)
+        except KeyError as e:
+            raise _UsageError(f"{path}: missing field {e}")
+        except (InputError, MetricError, TypeError, ValueError) as e:
+            raise _UsageError(f"{path}: {e}")
 
 
 # ---------------------------------------------------------------- handlers
 
 
 def _cmd_space(inp, args):
-    sp = inp.space()
+    sp = inp.load("space", space_from_json)
     return {"n": sp.n, "diam": sp.diam(), "labels": [str(l) for l in sp.labels]}
 
 
 def _cmd_cover_dim(inp, args):
-    sp = inp.space()
-    cov = inp.family(sp)
+    sp = inp.load("space", space_from_json)
+    cov = inp.load("cover", family_from_json, sp)
     return {
         "dim": dim_at_scale(cov, args.scale, closed=args.closed),
         "mesh": mesh(cov),
@@ -200,8 +150,8 @@ def _cmd_cover_dim(inp, args):
 
 
 def _cmd_cover_disjointify(inp, args):
-    sp = inp.space()
-    cov = inp.family(sp)
+    sp = inp.load("space", space_from_json)
+    cov = inp.load("cover", family_from_json, sp)
     n = args.n if args.n is not None else dim_at_scale(cov, args.scale)
     colored, trace = make_disjoint(cov, args.scale, n)
     return {
@@ -214,14 +164,14 @@ def _cmd_cover_disjointify(inp, args):
 
 
 def _cmd_cover_lebesgue(inp, args):
-    sp = inp.space()
-    cov = inp.family(sp)
+    sp = inp.load("space", space_from_json)
+    cov = inp.load("cover", family_from_json, sp)
     return {"lebesgue_number": lebesgue_number(cov), "mesh": mesh(cov)}
 
 
 def _cmd_map_control(inp, args):
-    dom, cod = inp.space("domain"), inp.space("codomain")
-    f = inp.map(dom, cod)
+    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
+    f = inp.load("map", map_from_json, dom, cod)
     ctl = n_to_1_control(f, args.n, c_cap=args.c_cap)
     return {
         "n": ctl.n,
@@ -232,8 +182,8 @@ def _cmd_map_control(inp, args):
 
 
 def _cmd_map_profile(inp, args):
-    dom, cod = inp.space("domain"), inp.space("codomain")
-    f = inp.map(dom, cod)
+    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
+    f = inp.load("map", map_from_json, dom, cod)
     prof = n_to_1_profile(f, args.r, args.big_r)
     return {
         "max_components": prof.max_components,
@@ -244,9 +194,9 @@ def _cmd_map_profile(inp, args):
 
 
 def _cmd_map_push(inp, args):
-    dom, cod = inp.space("domain"), inp.space("codomain")
-    f = inp.map(dom, cod)
-    cov = inp.family(dom)
+    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
+    f = inp.load("map", map_from_json, dom, cod)
+    cov = inp.load("cover", family_from_json, dom)
     pushed = pushforward_cover(f, cov, args.r, args.n, args.control)
     m = dim_at_scale(cov, args.control(args.r), closed=args.control.expansion_closed())
     return {
@@ -258,8 +208,8 @@ def _cmd_map_push(inp, args):
 
 
 def _cmd_map_factor(inp, args):
-    dom, cod = inp.space("domain"), inp.space("codomain")
-    f = inp.map(dom, cod)
+    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
+    f = inp.load("map", map_from_json, dom, cod)
     fac = factorize(f, args.big_r, args.n)
     return {
         "middle": space_to_json(fac.middle),
@@ -272,8 +222,8 @@ def _cmd_map_factor(inp, args):
 
 
 def _cmd_quotient(inp, args):
-    sp = inp.space()
-    act = inp.action(sp)
+    sp = inp.load("space", space_from_json)
+    act = inp.load("action", action_from_json, sp)
     gq = group_quotient(act)
     return {
         "quotient": space_to_json(gq.quotient),
@@ -286,46 +236,37 @@ def _cmd_quotient(inp, args):
 
 
 def _cmd_apc_witness(inp, args):
-    sp = inp.space()
+    sp = inp.load("space", space_from_json)
     w = apc_witness(sp, args.scales, args.mesh_cap, budget=args.budget)
     return {"witness": witness_to_json(w)}
 
 
 def _cmd_apc_normalize(inp, args):
-    sp = inp.space()
-    obj = inp._file("witness")
-    try:
-        dsw = DimSequenceWitness(
-            sp,
-            tuple(float(v) for v in obj["scales"]),
-            tuple(int(v) for v in obj["dims"]),
-            tuple(family_from_json(fj, sp) for fj in obj["families"]),
-        )
-    except (KeyError, InputError) as e:
-        raise _UsageError(f"{args.witness}: {e}")
+    sp = inp.load("space", space_from_json)
+    dsw = inp.load("witness", dim_sequence_from_json, sp)
     out = apc_normalize(dsw, args.gaps)
     return {"witness": witness_to_json(out)}
 
 
 def _cmd_apc_push(inp, args):
-    dom, cod = inp.space("domain"), inp.space("codomain")
-    f = inp.map(dom, cod)
-    w = inp.witness(dom)
+    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
+    f = inp.load("map", map_from_json, dom, cod)
+    w = inp.load("witness", witness_from_json, dom)
     out = apc_pushforward(f, args.n, args.control, w, args.target_scales)
     return {"witness": witness_to_json(out)}
 
 
 def _cmd_apc_pull(inp, args):
-    dom, cod = inp.space("domain"), inp.space("codomain")
-    f = inp.map(dom, cod)
-    w = inp.witness(cod)
+    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
+    f = inp.load("map", map_from_json, dom, cod)
+    w = inp.load("witness", witness_from_json, cod)
     out = apc_pullback(f, w, args.target_scales, args.bound)
     return {"witness": witness_to_json(out)}
 
 
 def _cmd_tree_verify(inp, args):
-    sp = inp.space()
-    t = inp.tree(sp)
+    sp = inp.load("space", space_from_json)
+    t = inp.load("tree", tree_from_json, sp)
     rep = verify_tree(t, args.mode)
     result = {
         "ok": rep.ok,
@@ -338,28 +279,28 @@ def _cmd_tree_verify(inp, args):
 
 
 def _cmd_tree_refine(inp, args):
-    sp = inp.space()
-    t = inp.tree(sp)
+    sp = inp.load("space", space_from_json)
+    t = inp.load("tree", tree_from_json, sp)
     return {"tree": tree_to_json(partition_refine(t))}
 
 
 def _cmd_tree_convert(inp, args):
-    sp = inp.space()
-    t = inp.tree(sp)
+    sp = inp.load("space", space_from_json)
+    t = inp.load("tree", tree_from_json, sp)
     return {"tree": tree_to_json(casdim_to_sfdc(t))}
 
 
 def _cmd_tree_cover(inp, args):
-    sp = inp.space()
-    t = inp.tree(sp)
+    sp = inp.load("space", space_from_json)
+    t = inp.load("tree", tree_from_json, sp)
     fam = tree_to_cover(t, args.scale)
     return {"family": family_to_json(fam), "dim": dim_at_scale(fam, args.scale)}
 
 
 def _cmd_tree_push(inp, args):
-    dom, cod = inp.space("domain"), inp.space("codomain")
-    f = inp.map(dom, cod)
-    t = inp.tree(dom)
+    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
+    f = inp.load("map", map_from_json, dom, cod)
+    t = inp.load("tree", tree_from_json, dom)
     out, audit = tree_pushforward(f, t, args.n, args.control, args.target_scales)
     return {
         "tree": tree_to_json(out),
@@ -372,9 +313,9 @@ def _cmd_tree_push(inp, args):
 
 
 def _cmd_tree_pull(inp, args):
-    dom, cod = inp.space("domain"), inp.space("codomain")
-    f = inp.map(dom, cod)
-    t = inp.tree(cod)
+    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
+    f = inp.load("map", map_from_json, dom, cod)
+    t = inp.load("tree", tree_from_json, cod)
     out = tree_pullback(
         f, t, args.n, args.control, args.target_scales,
         component_scale=args.component_scale,
@@ -383,25 +324,20 @@ def _cmd_tree_pull(inp, args):
 
 
 def _cmd_msp_family(inp, args):
-    sp = inp.space()
-    mu = inp.measure(sp)
+    sp = inp.load("space", space_from_json)
+    mu = inp.load("measure", measure_from_json, sp)
     out = best_mass_family(sp, mu, args.big_r, args.big_s)
     return {"mass_family": mass_family_to_json(out)}
 
 
 def _cmd_msp_push(inp, args):
-    dom, cod = inp.space("domain"), inp.space("codomain")
-    f = inp.map(dom, cod)
-    mu = inp.measure(cod)
+    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
+    f = inp.load("map", map_from_json, dom, cod)
+    mu = inp.load("measure", measure_from_json, cod)
     D = args.control
     sel = tuple(min(f.fiber(y)) for y in range(cod.n))
     lam = transfer_measure_selection(f, mu, sel)
-    witness = None
-    for B in [d for d in dom.realized_distances() if d > 0]:
-        cand = best_mass_family(dom, lam, D(args.n * args.big_r), B)
-        if cand.mass > 0.5:
-            witness = cand
-            break
+    witness = half_mass_witness(dom, lam, D(args.n * args.big_r))
     if witness is None:
         raise Refusal("no half-mass witness exists at any diameter bound", proved=True)
     out = msp_pushforward(f, args.n, mu, args.big_r, witness, lam)
@@ -412,9 +348,9 @@ def _cmd_msp_push(inp, args):
 
 
 def _cmd_msp_pull(inp, args):
-    dom, cod = inp.space("domain"), inp.space("codomain")
-    f = inp.map(dom, cod)
-    mu = inp.measure(dom)
+    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
+    f = inp.load("map", map_from_json, dom, cod)
+    mu = inp.load("measure", measure_from_json, dom)
     out = msp_pullback(
         f, mu, args.big_r, K=args.big_k, S=args.big_s, R_Y=args.codomain_scale
     )
@@ -422,8 +358,8 @@ def _cmd_msp_pull(inp, args):
 
 
 def _cmd_msp_check(inp, args):
-    dom, cod = inp.space("domain"), inp.space("codomain")
-    f = inp.map(dom, cod)
+    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
+    f = inp.load("map", map_from_json, dom, cod)
     members = args.set if args.set is not None else frozenset(range(cod.n))
     rep = map_msp_check(f, members, args.big_r, args.big_s, args.c, args.big_k)
     if rep["achievable"] is False:
@@ -631,6 +567,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    except _UsageError as e:  # raised by the argument type parsers
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     t0 = time.monotonic()
     inp = _Inputs(args)
     command = args.command + (

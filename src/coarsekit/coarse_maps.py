@@ -4,10 +4,8 @@ cover transfer, factorization, and finite-group quotients under the Hausdorff me
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import networkx as nx
 import numpy as np
@@ -20,7 +18,6 @@ from .metric_core import (
     Subset,
     diameter,
     hausdorff_distance,
-    neighborhood,
     r_components,
 )
 
@@ -291,8 +288,12 @@ def _component_relaxation(space: FiniteMetricSpace, members: frozenset, n: int) 
 def verify_n_to_1(f: CoarseMap, n: int, C, r: float):
     """Check that every maximal r-bounded B splits into <= n parts of diam <= C(r).
 
-    Exact for fibers up to EXACT_PARTITION_CAP points, otherwise the
-    C(r)-component relaxation.  Returns (ok, witness).
+    Exact for preimages up to EXACT_PARTITION_CAP points.  Above the cap the
+    C(r)-components (steps d <= C(r)) are checked instead, and the check never
+    accepts falsely: every part of diameter <= C(r) lies in one component, so
+    a rejection by component count is exact; a rejection by component width
+    is conservative, since a wide component might still split into narrow
+    parts.  Returns (ok, witness).
     """
     cr = C(r)
     subsets, _ = maximal_r_bounded_sets(f.codomain, r)
@@ -308,6 +309,9 @@ def verify_n_to_1(f: CoarseMap, n: int, C, r: float):
             comps = r_components(Subset(f.domain, pre), cr)
             if len(comps) > n:
                 return False, (B, len(comps))
+            width = max(diameter(c) for c in comps)
+            if width > cr:
+                return False, (B, width)
     return True, None
 
 

@@ -53,9 +53,6 @@ class StepFunction:
     def expansion_closed(self) -> bool:
         return self.inclusive
 
-    def compose_scale(self, r: float) -> float:
-        return self(r)
-
     def to_json(self) -> dict:
         return {
             "type": "step",

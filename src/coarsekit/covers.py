@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .metric_core import (
     FiniteMetricSpace,
     Subset,
     diameter,
-    dist_set_to_set,
     neighborhood,
 )
 
@@ -226,7 +225,6 @@ def make_disjoint(U: FamilyOfSets, R: float, n: Optional[int] = None):
     if dim > n:
         raise PreconditionError(f"R-dimension {dim} exceeds the supplied bound n={n}")
     gamma = R / (n + 1)
-    delta = R / (2 * n + 2)
 
     fvals = _level_functions(sp, U, R)
     nsets = len(U.sets)

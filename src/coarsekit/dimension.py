@@ -8,10 +8,8 @@ is re-checked before it is returned.
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +17,7 @@ from .controls import as_control
 from .coarse_maps import CoarseMap, control_upper
 from .covers import FamilyOfSets, dim_at_scale, is_r_disjoint, make_disjoint, mesh
 from .errors import CertificateError, InputError, PreconditionError, Refusal
-from .metric_core import FiniteMetricSpace, Subset, diameter, neighborhood, r_components
+from .metric_core import FiniteMetricSpace, Subset, components, diameter, r_components
 
 __all__ = [
     "ApcWitness",
@@ -258,42 +256,17 @@ def apc_witness(
             )
     families = []
     for i in range(k):
-        pts = frozenset(p for p in range(n) if assign[p] == i)
-        if pts:
-            comps = _strict_components(space, pts, scales[i])
-            families.append(FamilyOfSets(space, tuple(comps)))
-        else:
-            families.append(FamilyOfSets(space, ()))
+        pts = [p for p in range(n) if assign[p] == i]
+        families.append(FamilyOfSets(space, components(space, pts, scales[i], strict=True)))
     w = ApcWitness(space, tuple(scales), tuple(families))
     cert = verify_apc_witness(w, mesh_cap=mesh_cap)
     return ApcWitness(space, tuple(scales), tuple(families), (cert,))
 
 
-def _strict_components(space, pts, R):
-    """Components under chains of steps < R (the coarsest split that stays R-disjoint)."""
-    pts = sorted(pts)
-    parent = {p: p for p in pts}
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for a_pos, a in enumerate(pts):
-        for b in pts[a_pos + 1 :]:
-            if space.dmat[a, b] < R:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    out: dict[int, list] = {}
-    for p in pts:
-        out.setdefault(find(p), []).append(p)
-    return [frozenset(out[r]) for r in sorted(out)]
-
-
 def _component_ok(space, pts, R, mesh_cap):
-    return all(diameter(Subset(space, c)) <= mesh_cap for c in _strict_components(space, pts, R))
+    return all(
+        diameter(Subset(space, c)) <= mesh_cap for c in components(space, pts, R, strict=True)
+    )
 
 
 def _greedy_apc(space, scales, mesh_cap):

@@ -4,7 +4,14 @@ Strictness conventions used across the whole library (fixed globally):
 
 * expansion ``B(A, R)`` uses strict ``d < R`` (plus A itself);
 * ``R``-disjoint means cross distance ``>= R``;
-* ``R``-chains/components use non-strict ``d <= R``.
+* ``components(space, members, R, strict=False)`` gives chain components with
+  steps ``d <= R``; ``r_components`` wraps it.  Used for fiber pieces
+  (``n_to_1_profile``, ``verify_n_to_1``, the component relaxation of
+  ``n_to_1_control``), ``factorize`` classes, ``apc_pullback`` and
+  ``tree_pullback`` pieces;
+* ``components(..., strict=True)`` uses steps ``d < R``: the coarsest split of
+  a set into an ``R``-disjoint family.  Used for ``apc_witness`` families and
+  the families of ``best_mass_family`` and ``msp_pullback``.
 
 All comparisons are exact comparisons on the stored float values; inputs are
 rational-valued descriptors, so no epsilon tolerance is applied anywhere.
@@ -30,6 +37,7 @@ __all__ = [
     "neighborhood",
     "inner_neighborhood",
     "hausdorff_distance",
+    "components",
     "r_components",
     "diameter",
 ]
@@ -244,24 +252,33 @@ def hausdorff_distance(A: Subset, B: Subset) -> float:
     return float(max(block.min(axis=1).max(), block.min(axis=0).max()))
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
+def components(
+    space: FiniteMetricSpace, members: Iterable[int], R: float, *, strict: bool
+) -> tuple[frozenset, ...]:
+    """Chain components of ``members``: steps ``d < R`` when strict, else ``d <= R``.
 
-    def find(self, u):
-        root = u
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[u] != root:
-            self.parent[u], u = root, self.parent[u]
-        return root
+    Returns frozensets ordered by their least member.
+    """
+    idx = sorted(members)
+    sub = space.dmat[np.ix_(idx, idx)]
+    adj = sub < R if strict else sub <= R
+    parent = list(range(len(idx)))
 
-    def union(self, u, v):
-        ru, rv = self.find(u), self.find(v)
-        if ru != rv:
-            if rv < ru:
-                ru, rv = rv, ru
-            self.parent[rv] = ru
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    rows, cols = np.nonzero(np.triu(adj, 1))
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    classes: dict[int, list[int]] = {}
+    for pos, p in enumerate(idx):
+        classes.setdefault(find(pos), []).append(p)
+    return tuple(frozenset(c) for c in classes.values())
 
 
 def r_components(A: Subset, R: float) -> tuple[Subset, ...]:
@@ -269,19 +286,9 @@ def r_components(A: Subset, R: float) -> tuple[Subset, ...]:
 
     Classes are returned ordered by their least member index.
     """
-    sp = A.space
     if not A.members:
         raise PreconditionError("r_components requires a nonempty subset")
-    idx = A.sorted_members()
-    uf = _UnionFind(idx)
-    for a_pos, a in enumerate(idx):
-        for b in idx[a_pos + 1 :]:
-            if sp.dmat[a, b] <= R:
-                uf.union(a, b)
-    classes: dict[int, list[int]] = {}
-    for a in idx:
-        classes.setdefault(uf.find(a), []).append(a)
-    return tuple(Subset(sp, frozenset(classes[r])) for r in sorted(classes))
+    return tuple(Subset(A.space, c) for c in components(A.space, A.members, R, strict=False))
 
 
 def diameter(A: Subset) -> float:

@@ -4,24 +4,23 @@ families, the dimension-to-mass constant, and measure transfer along maps.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .controls import as_control
 from .coarse_maps import CoarseMap, control_upper, maximal_r_bounded_sets
-from .covers import FamilyOfSets, dim_at_scale, is_r_disjoint, make_disjoint, mesh
+from .covers import FamilyOfSets, is_r_disjoint, make_disjoint, mesh
 from .errors import CertificateError, InputError, PreconditionError
-from .metric_core import FiniteMetricSpace, Subset, diameter, r_components
+from .metric_core import FiniteMetricSpace, Subset, components, diameter
 
 __all__ = [
     "ProbMeasure",
     "MassFamily",
     "best_mass_family",
+    "half_mass_witness",
     "asdim_to_msp",
     "transfer_measure_selection",
     "pushforward_measure",
@@ -86,50 +85,43 @@ class MassFamily:
             raise CertificateError(f"mass mismatch: stated {self.mass}, got {got}")
 
 
-def _components_bitmask(dmat, R, members_mask, n):
-    """Chain components (steps < R) of the bitmask set; yields member bitmasks.
+def _feasibility(space, R, S):
+    """Mask test: every chain component (steps < R) of the point bitmask has
+    diameter <= S.
 
     Strict steps match the disjointness convention (disjoint = cross distance
-    >= R): the strict components of a union of an R-disjoint family refine the
-    family, and conversely the strict components of any feasible union form an
-    R-disjoint family.
+    >= R): the strict components of any feasible union form an R-disjoint
+    family of S-bounded sets.  The exact searches test up to 2^16 masks, so the
+    near (d < R) and far (d > S) relations are bitmasks built once per call.
     """
-    adj = [0] * n
-    for i in range(n):
-        if not (members_mask >> i) & 1:
-            continue
-        for j in range(n):
-            if i != j and ((members_mask >> j) & 1) and dmat[i, j] < R:
-                adj[i] |= 1 << j
-    left = members_mask
-    while left:
-        i = (left & -left).bit_length() - 1
-        comp = 1 << i
-        frontier = adj[i] & ~comp
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                j = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= adj[j]
-            frontier = nxt & ~comp
-        comp &= members_mask
-        yield comp
-        left &= ~comp
+    n = space.n
+    near = [sum(1 << j for j in range(n) if j != i and space.dmat[i, j] < R) for i in range(n)]
+    far = [sum(1 << j for j in range(n) if j != i and space.dmat[i, j] > S) for i in range(n)]
+
+    def feasible(mask):
+        left = mask
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                i = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
+                new = near[i] & mask & ~comp
+                comp |= new
+                frontier |= new
+            rest = comp
+            while rest:
+                i = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                if far[i] & comp:
+                    return False
+            left &= ~comp
+        return True
+
+    return feasible
 
 
 def _mask_to_sets(mask, n):
     return frozenset(i for i in range(n) if (mask >> i) & 1)
-
-
-def _feasible(space, mask, R, S):
-    for comp in _components_bitmask(space.dmat, R, mask, space.n):
-        pts = sorted(_mask_to_sets(comp, space.n))
-        if len(pts) > 1 and space.dmat[np.ix_(pts, pts)].max() > S:
-            return False
-    return True
 
 
 def best_mass_family(
@@ -149,21 +141,19 @@ def best_mass_family(
         raise InputError("measure must live on the given space")
     n = space.n
     if n <= exact_cap:
+        feasible = _feasibility(space, R, S)
         best_mask, best_mass = 0, -1.0
         # only support points matter for mass; adding zero-weight points never helps
-        supp = sorted(mu.support())
-        for bits in range(1 << len(supp)):
-            mask = 0
-            for pos, p in enumerate(supp):
-                if (bits >> pos) & 1:
-                    mask |= 1 << p
-            if not _feasible(space, mask, R, S):
+        masks = [0]
+        for p in sorted(mu.support()):
+            masks += [m | 1 << p for m in masks]
+        for mask in masks:
+            if not feasible(mask):
                 continue
             m = sum(mu.weights[p] for p in _mask_to_sets(mask, n))
             if m > best_mass:
                 best_mask, best_mass = mask, m
-        comps = list(_components_bitmask(space.dmat, R, best_mask, n)) if best_mask else []
-        fam = FamilyOfSets(space, tuple(_mask_to_sets(c, n) for c in comps))
+        fam = FamilyOfSets(space, components(space, _mask_to_sets(best_mask, n), R, strict=True))
         out = MassFamily(fam, R, S, max(best_mass, 0.0), exact=True)
         out.verify(mu)
         return out
@@ -192,6 +182,19 @@ def best_mass_family(
     out = MassFamily(fam, R, S, total, exact=False, flags=flags)
     out.verify(mu)
     return out
+
+
+def half_mass_witness(
+    space: FiniteMetricSpace, mu: ProbMeasure, R: float
+) -> Optional[MassFamily]:
+    """The first family of mass > 1/2 over the positive realized diameter
+    bounds B, tried in increasing order; None when no bound reaches it."""
+    for B in space.realized_distances():
+        if B > 0:
+            cand = best_mass_family(space, mu, R, B)
+            if cand.mass > 0.5:
+                return cand
+    return None
 
 
 def asdim_to_msp(cover: FamilyOfSets, R: float, mu: ProbMeasure) -> MassFamily:
@@ -405,15 +408,15 @@ def msp_pullback(
         for s in found.family.sets:
             pieces.append(frozenset(old_of_new[q] for q in s))
         total += got
-    omega = frozenset().union(*pieces) if pieces else frozenset()
-    comps = r_components(Subset(f.domain, omega), R_X) if omega else ()
+    omega = frozenset().union(*pieces)
+    comps = components(f.domain, omega, R_X, strict=True)
     for c in comps:
-        if diameter(c) > S:
-            raise CertificateError("an output component exceeds S", witness=sorted(c.members))
+        if diameter(Subset(f.domain, c)) > S:
+            raise CertificateError("an output component exceeds S", witness=sorted(c))
     mass = mu.mass(omega)
     if mass < 0.25 - 1e-12:
         raise CertificateError(f"output mass {mass} below 0.25")
-    fam = FamilyOfSets(f.domain, tuple(c.members for c in comps))
+    fam = FamilyOfSets(f.domain, comps)
     out = MassFamily(
         fam,
         R_X,
@@ -472,19 +475,14 @@ def map_msp_check(
 
 
 def _maximal_feasible_sets(space, pts, R, S):
-    idx = {p: i for i, p in enumerate(pts)}
-    k = len(pts)
-    sub, old_of_new = space.subspace(pts)
-    feas = []
-    for mask in range(1, 1 << k):
-        if _feasible(sub, mask, R, S):
-            feas.append(mask)
-    maximal = [m for m in feas if not any(m != o and m & o == m for o in feas)]
-    return maximal, sub, old_of_new
+    sub, _ = space.subspace(pts)
+    feasible = _feasibility(sub, R, S)
+    feas = [mask for mask in range(1, 1 << len(pts)) if feasible(mask)]
+    return [m for m in feas if not any(m != o and m & o == m for o in feas)]
 
 
 def _game_value(space, pts, R, S):
-    maximal, sub, old_of_new = _maximal_feasible_sets(space, pts, R, S)
+    maximal = _maximal_feasible_sets(space, pts, R, S)
     k = len(pts)
     # fractional cover: min sum y_O subject to sum over O containing x of y_O >= 1
     Acov = np.zeros((k, len(maximal)))

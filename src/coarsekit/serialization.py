@@ -9,13 +9,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Optional
 
-from .controls import LinearControl, StepFunction, as_control
+from .controls import LinearControl, StepFunction
 from .coarse_maps import CoarseMap, GroupAction
 from .covers import FamilyOfSets
-from .dimension import ApcWitness
-from .errors import InputError
+from .dimension import ApcWitness, DimSequenceWitness
 from .metric_core import FiniteMetricSpace, build_space
 from .msp import MassFamily, ProbMeasure
 from .trees import DecompositionTree
@@ -27,17 +25,15 @@ __all__ = [
     "space_from_json",
     "family_to_json",
     "family_from_json",
-    "map_to_json",
     "map_from_json",
     "action_from_json",
     "measure_from_json",
-    "measure_to_json",
     "tree_to_json",
     "tree_from_json",
     "witness_to_json",
     "witness_from_json",
+    "dim_sequence_from_json",
     "mass_family_to_json",
-    "control_from_json",
     "dumps_report",
     "digest",
 ]
@@ -82,10 +78,6 @@ def family_from_json(obj: dict, space: FiniteMetricSpace) -> FamilyOfSets:
     )
 
 
-def map_to_json(f: CoarseMap) -> dict:
-    return {"assign": list(f.assign)}
-
-
 def map_from_json(obj: dict, domain: FiniteMetricSpace, codomain: FiniteMetricSpace) -> CoarseMap:
     return CoarseMap(domain, codomain, tuple(obj["assign"]))
 
@@ -97,14 +89,6 @@ def action_from_json(obj: dict, space: FiniteMetricSpace) -> GroupAction:
 
 def measure_from_json(obj: dict, space: FiniteMetricSpace) -> ProbMeasure:
     return ProbMeasure(space, tuple(obj["weights"]))
-
-
-def measure_to_json(mu: ProbMeasure) -> dict:
-    return {"weights": list(mu.weights), "renormalized": mu.renormalized}
-
-
-def control_from_json(obj):
-    return as_control(obj)
 
 
 def tree_to_json(t: DecompositionTree) -> dict:
@@ -147,6 +131,15 @@ def witness_from_json(obj: dict, space: FiniteMetricSpace) -> ApcWitness:
     return ApcWitness(
         space,
         tuple(obj["scales"]),
+        tuple(family_from_json(f, space) for f in obj["families"]),
+    )
+
+
+def dim_sequence_from_json(obj: dict, space: FiniteMetricSpace) -> DimSequenceWitness:
+    return DimSequenceWitness(
+        space,
+        tuple(float(v) for v in obj["scales"]),
+        tuple(int(v) for v in obj["dims"]),
         tuple(family_from_json(f, space) for f in obj["families"]),
     )
 

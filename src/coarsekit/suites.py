@@ -9,12 +9,13 @@ oracle-agreement.
 from __future__ import annotations
 
 import random
+from itertools import product
 from typing import Callable
 
 from .controls import LinearControl
-from .covers import FamilyOfSets, dim_at_scale, is_r_disjoint, make_disjoint, mesh
+from .covers import FamilyOfSets, dim_at_scale, make_disjoint
 from .coarse_maps import (
-    CoarseMap,
+    GroupAction,
     control_upper,
     factorize,
     group_quotient,
@@ -22,12 +23,11 @@ from .coarse_maps import (
     pushforward_cover,
     verify_n_to_1,
 )
-from .dimension import apc_witness, asdim_at_scale
+from .dimension import _component_ok, apc_witness, asdim_at_scale
 from .errors import CertificateError, PreconditionError, Refusal
 from .generators import (
     action_fixtures,
     fold_map,
-    path_space,
     random_casdim_tree,
     random_cover,
     random_measure,
@@ -37,14 +37,13 @@ from .generators import (
     rotation_action,
     grid_rotation_action,
 )
-from .metric_core import FiniteMetricSpace, Subset, diameter, hausdorff_distance
+from .metric_core import Subset, build_space, diameter, r_components
 from .msp import (
-    ProbMeasure,
     asdim_to_msp,
     best_mass_family,
+    half_mass_witness,
     msp_pullback,
     msp_pushforward,
-    pushforward_measure,
     transfer_measure_selection,
 )
 from .trees import (
@@ -257,8 +256,6 @@ def _partition_tree_for_pushforward(f, n, D, R1: float):
     The terminal sets are the chain components of the whole domain at that
     scale, so distinct sets are automatically more than the scale apart.
     """
-    from .metric_core import r_components
-
     X = f.domain
     need = D(n * 2 * R1)
     pts = list(range(X.n))
@@ -286,9 +283,6 @@ def _partition_tree_for_pushforward(f, n, D, R1: float):
 
 def _gapped_reflection():
     """Reflection on two far-apart blocks, so component splitting is non-trivial."""
-    from .coarse_maps import GroupAction
-    from .metric_core import build_space
-
     coords = [0, 1, 2, 3, 40, 41, 42, 43]
     sp = build_space({"kind": "cloud", "coords": [[c] for c in coords]})
     m = len(coords)
@@ -382,12 +376,7 @@ def suite_msp(seed: int, count: int = 50) -> dict:
             # constant 2: pushforward with S = E(B) + n*R
             sel = tuple(min(f.fiber(y)) for y in range(Y.n))
             lam = transfer_measure_selection(f, muY, sel)
-            witness = None
-            for B in [d for d in X.realized_distances() if d > 0]:
-                cand = best_mass_family(X, lam, D(n * R), B)
-                if cand.mass > 0.5:
-                    witness = cand
-                    break
+            witness = half_mass_witness(X, lam, D(n * R))
             if witness is None:
                 failures.append({"instance": i, "stage": "no-witness"})
             else:
@@ -448,10 +437,6 @@ def suite_oracle_agreement(seed: int, count: int = 40) -> dict:
 
 
 def _apc_brute(sp, scales, cap):
-    from itertools import product
-
-    from .dimension import _component_ok
-
     k = len(scales)
     for assign in product(range(k), repeat=sp.n):
         ok = True

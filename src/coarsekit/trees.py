@@ -9,15 +9,14 @@ of its subfamilies, "contains" only requires containment.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .controls import as_control
 from .coarse_maps import CoarseMap, control_upper
 from .covers import FamilyOfSets, is_r_disjoint, make_disjoint, mesh
 from .errors import CertificateError, InputError, PreconditionError
-from .metric_core import FiniteMetricSpace, Subset, diameter, neighborhood
+from .metric_core import FiniteMetricSpace, Subset, diameter, neighborhood, r_components
 
 __all__ = [
     "DecompositionTree",
@@ -255,13 +254,13 @@ def casdim_to_sfdc(t: DecompositionTree) -> DecompositionTree:
                 subfams_out = []
                 if st[0] == "orig" and st[1] == i and m == 1:
                     subfams = t.children_of(i, st[2])
-                    peeled, rest = _peel(t, i, subfams, 0)
+                    peeled, rest = _peel(subfams, 0)
                     subfams_out = _emit(
                         space, peeled, rest, i, st[2], 1, next_sets, next_state, t
                     )
                 elif st[0] == "rem" and st[1] == i:
                     subfams = t.children_of(i, st[2])
-                    peeled, rest = _peel(t, i, subfams, st[3])
+                    peeled, rest = _peel(subfams, st[3])
                     subfams_out = _emit(
                         space, peeled, rest, i, st[2], st[3] + 1, next_sets, next_state, t
                     )
@@ -298,7 +297,7 @@ def casdim_to_sfdc(t: DecompositionTree) -> DecompositionTree:
     return out
 
 
-def _peel(t, level, subfams, done):
+def _peel(subfams, done):
     """Return (subfamily to expose now, remaining subfamilies) after `done` peels."""
     rest = subfams[done:]
     if not rest:
@@ -439,8 +438,6 @@ def tree_pullback(
     last = new_levels[-1]
     final_sets = []
     table = []
-    from .metric_core import r_components
-
     for s in last.sets:
         comps = r_components(Subset(X, s), Rc)
         if len(comps) > n:

@@ -70,6 +70,21 @@ class TestSpaceCommand:
         code, report, err = run(capsys, ["space", "--space", str(p)])
         assert code == 2 and "malformed JSON" in err
 
+    def test_unreadable_input_is_usage_error(self, capsys, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00")
+        for path in (tmp_path, binary):
+            code, report, err = run(capsys, ["space", "--space", str(path)])
+            assert code == 2 and report is None
+            assert err.startswith("error:")
+
+    def test_unparsable_scale_list_is_usage_error(self, capsys, path16):
+        code, report, err = run(
+            capsys, ["apc", "witness", "--space", path16, "--scales", "a,b", "--mesh-cap", "1"]
+        )
+        assert code == 2 and report is None
+        assert err.startswith("error:")
+
     def test_unknown_command_is_usage_error(self, capsys):
         code, report, _ = run(capsys, ["frobnicate"])
         assert code == 2
@@ -112,6 +127,19 @@ class TestCoverCommands:
         assert code == 0
         assert report["result"]["lebesgue_number"] == 1.0
 
+    @pytest.mark.parametrize(
+        "cover", [{"colors": [0]}, {"sets": [["a", "b"]]}], ids=["no-sets", "string-members"]
+    )
+    def test_malformed_cover_is_usage_error(self, capsys, tmp_path, cover):
+        sp = write(tmp_path, "sp.json", cloud(0, 9))
+        cov = write(tmp_path, "cov.json", cover)
+        code, report, err = run(
+            capsys, ["cover", "dim", "--space", sp, "--cover", cov, "--scale", "1"]
+        )
+        assert code == 2 and report is None
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_uncovered_point_is_violation(self, capsys, tmp_path):
         sp = write(tmp_path, "sp.json", cloud(0, 9))
         cov = write(tmp_path, "cov.json", {"sets": [list(range(0, 5))]})
@@ -151,6 +179,21 @@ class TestMapCommands:
         assert code == 1
         assert report["status"] == "refusal"
         assert report["error"]["proved"] is True
+
+    @pytest.mark.parametrize(
+        "control", ['{"type": "linear"}', '{"type": "step", "breakpoints": [[0, "x"]]}'],
+        ids=["missing-field", "bad-value"],
+    )
+    def test_malformed_control_is_usage_error(self, capsys, tmp_path, fold5, control):
+        dom, cod, f = fold5
+        cov = write(tmp_path, "cov.json", {"sets": [list(range(11))]})
+        code, report, err = run(
+            capsys,
+            ["map", "push", "--domain", dom, "--codomain", cod, "--map", f, "--cover", cov,
+             "--r", "1", "--n", "2", "--control", control],
+        )
+        assert code == 2 and report is None
+        assert err.startswith("error:")
 
     def test_control_fold(self, capsys, fold5):
         dom, cod, f = fold5

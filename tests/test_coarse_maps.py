@@ -156,6 +156,12 @@ class TestNTo1Control:
         ok, wit = verify_n_to_1(f, 1, LinearControl(1.0), 0.0)
         assert not ok and wit is not None
 
+    def test_verify_rejects_wide_component_above_cap(self):
+        # 40 preimage points (above the exact cap) form one C(1)-component of diameter 39
+        ok, wit = verify_n_to_1(constant_map(path_space(40)), 1, LinearControl(1.0), 1.0)
+        assert not ok
+        assert wit[1] == 39.0
+
 
 class TestPushforwardCover:
     def test_fold_singletons(self):

@@ -13,6 +13,7 @@ from coarsekit import (
     asdim_to_msp,
     best_mass_family,
     build_space,
+    half_mass_witness,
     control_upper,
     make_disjoint,
     map_msp_check,
@@ -207,6 +208,26 @@ class TestMspPullback:
         mu = uniform(sp)
         out = msp_pullback(identity_map(sp), mu, 1.0, K=float(sp.diam()), S=float(sp.diam()))
         assert math.isclose(out.mass, 1.0)
+
+    def test_pieces_exactly_R_apart_stay_separate(self):
+        # {0,1}, {3,4}, {6,7} are 2 apart, so R_X-disjoint at R_X = 2, and 1-bounded
+        sp = path_space(8)
+        mu = uniform(sp)
+        out = msp_pullback(identity_map(sp), mu, 2.0, K=7.0, S=1.0)
+        assert out.family.sets == (frozenset({0, 1}), frozenset({3, 4}), frozenset({6, 7}))
+        assert math.isclose(out.mass, 0.75)
+
+
+class TestHalfMassWitness:
+    def test_first_bound_above_half(self):
+        sp = path_space(8)
+        w = half_mass_witness(sp, uniform(sp), 2.0)
+        assert w.S == 1.0
+        assert math.isclose(w.mass, 0.75)
+
+    def test_none_without_positive_distances(self):
+        sp = path_space(1)
+        assert half_mass_witness(sp, uniform(sp), 1.0) is None
 
 
 class TestMapMspCheck:

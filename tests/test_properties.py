@@ -9,6 +9,7 @@ from coarsekit import (
     FamilyOfSets,
     Subset,
     build_space,
+    components,
     diameter,
     dim_at_scale,
     hausdorff_distance,
@@ -75,17 +76,34 @@ def test_neighborhood_monotone_and_nested(data, R1, R2):
     assert A.members <= inner_neighborhood(neighborhood(A, lo), lo).members
 
 
+def _step(sp, R, strict):
+    return (lambda x, y: sp.d(x, y) < R) if strict else (lambda x, y: sp.d(x, y) <= R)
+
+
 @settings(max_examples=100, deadline=None)
 @given(spaces_with_subsets(k=1), scales)
 def test_r_components_partition_and_separate(data, R):
     sp, (A,) = data
-    comps = r_components(A, R)
-    seen = frozenset().union(*(c.members for c in comps))
-    assert seen == A.members
-    assert sum(len(c.members) for c in comps) == len(A.members)
-    for a, b in itertools.combinations(comps, 2):
-        cross = min(sp.d(x, y) for x in a.members for y in b.members)
-        assert cross > R
+    assert tuple(c.members for c in r_components(A, R)) == components(
+        sp, A.members, R, strict=False
+    )
+    for strict in (False, True):
+        step = _step(sp, R, strict)
+        comps = components(sp, A.members, R, strict=strict)
+        assert frozenset().union(*comps) == A.members
+        assert sum(len(c) for c in comps) == len(A.members)
+        assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+        for a, b in itertools.combinations(comps, 2):
+            assert not any(step(x, y) for x in a for y in b)
+        for c in comps:
+            # chain-connected: a walk by steps from the least member reaches all of c
+            reached, frontier = {min(c)}, [min(c)]
+            while frontier:
+                x = frontier.pop()
+                nxt = {y for y in c - reached if step(x, y)}
+                reached |= nxt
+                frontier.extend(nxt)
+            assert reached == c
 
 
 @settings(max_examples=100, deadline=None)
