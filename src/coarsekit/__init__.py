@@ -63,8 +63,6 @@ from .metric_core import (
     build_space,
     components,
     diameter,
-    dist_point_to_set,
-    dist_set_to_set,
     hausdorff_distance,
     inner_neighborhood,
     neighborhood,

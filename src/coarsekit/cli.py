@@ -609,8 +609,12 @@ def main(argv=None) -> int:
     if args.timing:
         print(f"elapsed: {time.monotonic() - t0:.3f}s", file=sys.stderr)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {args.output}: {e.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return status

@@ -166,10 +166,60 @@ def n_to_1_profile(f: CoarseMap, r: float, R: float) -> NTo1Profile:
     return NTo1Profile(worst_count, worst_diam, witness, exact)
 
 
+def graph_coloring(adj, k: int):
+    """A k-colouring (colour per vertex) of the graph with adjacency sets
+    ``adj``, or None when none exists.  Backtracking over vertices by
+    decreasing degree, least free colour first, a new colour at most one above
+    the largest in use."""
+    n = len(adj)
+    colors = [None] * n
+    order = sorted(range(n), key=lambda v: -len(adj[v]))
+
+    def bt(pos):
+        if pos == n:
+            return True
+        v = order[pos]
+        used = {colors[u] for u in adj[v] if colors[u] is not None}
+        upper = min(k, max((c for c in colors if c is not None), default=-1) + 2)
+        for c in range(upper):
+            if c not in used:
+                colors[v] = c
+                if bt(pos + 1):
+                    return True
+                colors[v] = None
+        return False
+
+    return colors if bt(0) else None
+
+
+def least_realized(block: np.ndarray, probe):
+    """(d, probe(d)) for the least realized distance d of a distance block at
+    which the monotone ``probe`` returns a result (once it does, it does at
+    every larger distance); None when no distance gets one.  Gallops up from
+    the smallest distance (indices 0, 1, 3, 7, ...), then bisects the last
+    gap: an answer at index i costs O(log i) probes, none beyond index 2i + 1.
+    """
+    dists = np.unique(block).tolist()
+    lo, hi, step = 0, 0, 1
+    while (best := probe(dists[hi])) is None:
+        if hi == len(dists) - 1:
+            return None
+        lo, hi, step = hi + 1, min(hi + step, len(dists) - 1), 2 * step
+    best_val = dists[hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        got = probe(dists[mid])
+        if got is not None:
+            best_val, best, hi = dists[mid], got, mid
+        else:
+            lo = mid + 1
+    return best_val, best
+
+
 def min_max_diameter_partition(space: FiniteMetricSpace, members: frozenset, n: int):
     """Exact min over partitions into <= n parts of the max part diameter.
 
-    Feasibility of a candidate diameter c is an n-coloring question on the
+    Feasibility of a candidate diameter c is an n-colouring question on the
     conflict graph {pairs with d > c}; candidates are the realized pairwise
     distances.  Returns (value, parts).
     """
@@ -181,47 +231,22 @@ def min_max_diameter_partition(space: FiniteMetricSpace, members: frozenset, n: 
         raise PreconditionError(f"exact partition search capped at {EXACT_PARTITION_CAP} points")
     if n >= k:
         return 0.0, [frozenset({p}) for p in pts]
-    dists = sorted({float(space.dmat[a, b]) for a in pts for b in pts})
+    block = space.dmat[np.ix_(pts, pts)]
+    rows = block.tolist()
 
-    def feasible(c):
-        # n-color the conflict graph (edges where d > c) by backtracking.
-        colors = {}
+    def parts_within(c):
+        colors = graph_coloring([{j for j, d in enumerate(row) if d > c} for row in rows], n)
+        if colors is None:
+            return None
+        parts = {}
+        for p, col in zip(pts, colors):
+            parts.setdefault(col, set()).add(p)
+        return [frozenset(parts[col]) for col in sorted(parts)]
 
-        def bt(i):
-            if i == k:
-                return True
-            used = len(set(colors.values()))
-            for col in range(min(used + 1, n)):
-                if all(
-                    colors[q] != col or space.dmat[pts[i], q] <= c
-                    for q in pts[:i]
-                ):
-                    colors[pts[i]] = col
-                    if bt(i + 1):
-                        return True
-                    del colors[pts[i]]
-            return False
-
-        if bt(0):
-            parts = {}
-            for p, col in colors.items():
-                parts.setdefault(col, set()).add(p)
-            return [frozenset(parts[c2]) for c2 in sorted(parts)]
-        return None
-
-    lo, hi = 0, len(dists) - 1
-    best_parts = feasible(dists[hi])
-    if best_parts is None:
+    found = least_realized(block, parts_within)
+    if found is None:
         raise Refusal("no n-part partition exists even at full diameter", proved=True, witness=members)
-    best_val = dists[hi]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        parts = feasible(dists[mid])
-        if parts is not None:
-            best_val, best_parts, hi = dists[mid], parts, mid
-        else:
-            lo = mid + 1
-    return best_val, best_parts
+    return found
 
 
 @dataclass(frozen=True)
@@ -231,8 +256,11 @@ class NTo1Control:
     ``step`` reports, per realized scale r, the least attained max-part
     diameter (the infimum of valid strict controls; ``inclusive=True`` means
     the bound is attained, so consumers must treat it as closed).
-    ``relaxed_at`` lists the scales where the R-component relaxation replaced
-    the exact partition search.
+    ``relaxed_at`` lists the scales where the value is only an upper bound on
+    the least control: the R-component relaxation replaced the exact partition
+    search (a preimage above EXACT_PARTITION_CAP points), or closed balls
+    replaced the maximal r-bounded sets (a codomain above CLIQUE_ENUM_CAP
+    points).
     """
 
     n: int
@@ -241,7 +269,8 @@ class NTo1Control:
 
 
 def n_to_1_control(f: CoarseMap, n: int, *, c_cap: Optional[float] = None) -> NTo1Control:
-    """Least closed control C making f coarsely n-to-1; Refusal when a cap is exceeded."""
+    """Least closed control C making f coarsely n-to-1, an upper bound at the
+    scales in ``relaxed_at``; Refusal when the control reaches ``c_cap``."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
     Y = f.codomain
@@ -251,6 +280,8 @@ def n_to_1_control(f: CoarseMap, n: int, *, c_cap: Optional[float] = None) -> NT
     prev = 0.0
     for r in scales:
         subsets, exact = maximal_r_bounded_sets(Y, r)
+        if not exact:
+            relaxed.append(r)
         worst = 0.0
         for B in subsets:
             pre = f.preimage(B)
@@ -275,14 +306,17 @@ def n_to_1_control(f: CoarseMap, n: int, *, c_cap: Optional[float] = None) -> NT
 
 
 def _component_relaxation(space: FiniteMetricSpace, members: frozenset, n: int) -> float:
-    """Smallest realized R with <= n R-components; value = max component diameter."""
+    """Smallest realized R with <= n R-components; value = max component diameter.
+    The count never grows with R and is 1 at the largest distance."""
+    A = Subset(space, members)
+
+    def at_most_n(R):
+        comps = r_components(A, R)
+        return comps if len(comps) <= n else None
+
     pts = sorted(members)
-    dists = sorted({float(space.dmat[a, b]) for a in pts for b in pts})
-    for R in dists:
-        comps = r_components(Subset(space, members), R)
-        if len(comps) <= n:
-            return max(diameter(c) for c in comps)
-    return diameter(Subset(space, members))
+    _, comps = least_realized(space.dmat[np.ix_(pts, pts)], at_most_n)
+    return max(diameter(c) for c in comps)
 
 
 def verify_n_to_1(f: CoarseMap, n: int, C, r: float):

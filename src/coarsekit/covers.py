@@ -71,9 +71,6 @@ class FamilyOfSets:
     def __len__(self):
         return len(self.sets)
 
-    def subsets(self):
-        return [Subset(self.space, s) for s in self.sets]
-
     def union(self) -> frozenset:
         out = frozenset()
         for s in self.sets:

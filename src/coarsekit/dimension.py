@@ -123,7 +123,10 @@ def asdim_at_scale(
     gdim = dim_at_scale(greedy, R)
     if space.n > exact_cap:
         return AsdimResult(gdim, greedy, exact=False)
-    best_dim, best_blocks = _exact_partition_search(space, R, mesh_cap, gdim)
+    better = _exact_partition_search(space, R, mesh_cap, gdim)
+    if better is None:
+        return AsdimResult(gdim, greedy, exact=True)
+    best_dim, best_blocks = better
     fam = FamilyOfSets(space, tuple(frozenset(b) for b in best_blocks))
     check = dim_at_scale(fam, R)
     if check != best_dim:
@@ -159,6 +162,7 @@ def _greedy_partition(space, R, mesh_cap):
 
 
 def _exact_partition_search(space, R, mesh_cap, upper):
+    """(dim, blocks) of an optimal partition, or None when none beats ``upper``."""
     n = space.n
     near = [frozenset(q for q in range(n) if space.dmat[q, p] < R) for p in range(n)]
     best = {"dim": upper, "blocks": None}
@@ -215,11 +219,7 @@ def _exact_partition_search(space, R, mesh_cap, upper):
         expansions.pop()
 
     dfs(0)
-    if best["blocks"] is None:
-        # greedy was already optimal; rebuild its blocks
-        fam = _greedy_partition(space, R, mesh_cap)
-        return upper, [sorted(s) for s in fam.sets]
-    return best["dim"], best["blocks"]
+    return None if best["blocks"] is None else (best["dim"], best["blocks"])
 
 
 def apc_witness(
@@ -242,17 +242,16 @@ def apc_witness(
         raise InputError("scales must be strictly increasing")
     k = len(scales)
     n = space.n
-    assign = _greedy_apc(space, scales, mesh_cap)
-    if assign is None:
+    assign, residue = _greedy_apc(space, scales, mesh_cap)
+    if residue:
         assign, proved = _dfs_apc(space, scales, mesh_cap, budget)
         if assign is None:
-            residue = _greedy_residue(space, scales, mesh_cap)
             raise Refusal(
                 "no witness exists at these scales and mesh cap"
                 if proved
                 else "search budget exhausted without a witness",
                 proved=proved,
-                witness=sorted(residue),
+                witness=residue,
             )
     families = []
     for i in range(k):
@@ -270,36 +269,20 @@ def _component_ok(space, pts, R, mesh_cap):
 
 
 def _greedy_apc(space, scales, mesh_cap):
-    n = space.n
-    assign = [None] * n
-    per_family: list[set] = [set() for _ in scales]
-    for p in range(n):
-        placed = False
-        for i in range(len(scales)):
-            trial = per_family[i] | {p}
-            if _component_ok(space, trial, scales[i], mesh_cap):
-                per_family[i].add(p)
-                assign[p] = i
-                placed = True
-                break
-        if not placed:
-            return None
-    return assign
-
-
-def _greedy_residue(space, scales, mesh_cap):
-    n = space.n
+    """First fit: each point joins the first family that stays valid with it.
+    Returns (assignment, residue), the residue being the points no family took."""
+    assign = [None] * space.n
     per_family: list[set] = [set() for _ in scales]
     residue = []
-    for p in range(n):
-        for i in range(len(scales)):
-            trial = per_family[i] | {p}
-            if _component_ok(space, trial, scales[i], mesh_cap):
+    for p in range(space.n):
+        for i, R in enumerate(scales):
+            if _component_ok(space, per_family[i] | {p}, R, mesh_cap):
                 per_family[i].add(p)
+                assign[p] = i
                 break
         else:
             residue.append(p)
-    return residue
+    return assign, residue
 
 
 def _dfs_apc(space, scales, mesh_cap, budget):
@@ -441,12 +424,6 @@ def apc_pushforward(
             )
             out_families.append(lifted)
             audit.append({"from_family": i, "class": j, "certified_by": scales[i * n - 1]})
-    for t, fam in enumerate(out_families):
-        ok, wit = is_r_disjoint(fam, scales[t])
-        if not ok:
-            raise CertificateError(
-                f"output family {t + 1} is not {scales[t]}-disjoint", witness=wit
-            )
     out = ApcWitness(f.codomain, tuple(scales), tuple(out_families))
     cert = verify_apc_witness(out)
     return ApcWitness(f.codomain, tuple(scales), tuple(out_families), (cert, tuple(audit)))
@@ -489,12 +466,6 @@ def apc_pullback(
                     )
                 pieces.append(comp.members)
         out_families.append(FamilyOfSets(f.domain, tuple(pieces)))
-    for t, fam in enumerate(out_families):
-        ok, wit = is_r_disjoint(fam, scales[t])
-        if not ok:
-            raise CertificateError(
-                f"output family {t + 1} is not {scales[t]}-disjoint", witness=wit
-            )
     out = ApcWitness(f.domain, tuple(scales), tuple(out_families))
     cert = verify_apc_witness(out)
     return ApcWitness(f.domain, tuple(scales), tuple(out_families), (cert,))

@@ -13,13 +13,16 @@ Strictness conventions used across the whole library (fixed globally):
   a set into an ``R``-disjoint family.  Used for ``apc_witness`` families and
   the families of ``best_mass_family`` and ``msp_pullback``.
 
-All comparisons are exact comparisons on the stored float values; inputs are
-rational-valued descriptors, so no epsilon tolerance is applied anywhere.
+All comparisons are exact comparisons on the stored float values, with no
+epsilon: exact for l1/linf clouds and rational-valued matrices and graphs.  l2
+cloud distances are rounded square roots, so l2 comparisons at equality follow
+the rounding.  Clouds are metrics by construction and are not re-checked for
+the triangle inequality (rounding can break it), only for finite distances
+and distinct points.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -82,7 +85,7 @@ class FiniteMetricSpace:
     outputs across the library are emitted in sorted index order.
     """
 
-    __slots__ = ("labels", "dmat", "_label_index")
+    __slots__ = ("labels", "dmat")
 
     def __init__(self, labels: Sequence, dmat: np.ndarray, *, validate: bool = True):
         dmat = np.asarray(dmat, dtype=float)
@@ -93,8 +96,7 @@ class FiniteMetricSpace:
         self.labels = tuple(labels)
         self.dmat = dmat
         self.dmat.setflags(write=False)
-        self._label_index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._label_index) != len(self.labels):
+        if len(set(self.labels)) != len(self.labels):
             raise InputError("labels must be unique")
 
     @property
@@ -104,17 +106,8 @@ class FiniteMetricSpace:
     def d(self, i: int, j: int) -> float:
         return float(self.dmat[i, j])
 
-    def index_of(self, label) -> int:
-        return self._label_index[label]
-
-    def points(self) -> range:
-        return range(self.n)
-
     def full(self) -> "Subset":
         return Subset(self, frozenset(range(self.n)))
-
-    def subset(self, members: Iterable[int]) -> "Subset":
-        return Subset(self, frozenset(members))
 
     def diam(self) -> float:
         return float(self.dmat.max()) if self.n else 0.0
@@ -158,9 +151,6 @@ class Subset:
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
 
-    def labels(self) -> list:
-        return [self.space.labels[i] for i in self.sorted_members()]
-
     def __len__(self):
         return len(self.members)
 
@@ -187,8 +177,13 @@ def build_space(descriptor: dict) -> FiniteMetricSpace:
             raise InputError(f"unknown norm {norm!r}")
         diffs = coords[:, None, :] - coords[None, :, :]
         dmat = np.linalg.norm(diffs, ord=_NORMS[norm], axis=2)
+        if not np.all(np.isfinite(dmat)):
+            raise MetricError("cloud coordinates and distances must be finite")
+        same = np.argwhere(dmat + np.eye(len(dmat)) <= 0)
+        if len(same):
+            raise MetricError(f"cloud points {int(same[0][0])} and {int(same[0][1])} coincide")
         labels = descriptor.get("labels", list(range(coords.shape[0])))
-        return FiniteMetricSpace(labels, dmat)
+        return FiniteMetricSpace(labels, dmat, validate=False)
     if kind == "graph":
         edges = descriptor["edges"]
         labels = descriptor.get("labels")
@@ -297,18 +292,3 @@ def diameter(A: Subset) -> float:
         raise PreconditionError("diameter requires a nonempty subset")
     idx = A.sorted_members()
     return float(sp.dmat[np.ix_(idx, idx)].max())
-
-
-def dist_point_to_set(space: FiniteMetricSpace, x: int, members: Iterable[int]) -> float:
-    """min distance from x to a set; +inf for the empty set."""
-    members = list(members)
-    if not members:
-        return math.inf
-    return float(np.min(space.dmat[x, members]))
-
-
-def dist_set_to_set(space: FiniteMetricSpace, A: Iterable[int], B: Iterable[int]) -> float:
-    A, B = list(A), list(B)
-    if not A or not B:
-        return math.inf
-    return float(space.dmat[np.ix_(A, B)].min())

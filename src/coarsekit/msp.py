@@ -4,6 +4,7 @@ families, the dimension-to-mass constant, and measure transfer along maps.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -11,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .coarse_maps import CoarseMap, control_upper, maximal_r_bounded_sets
+from .coarse_maps import CoarseMap, control_upper, graph_coloring, maximal_r_bounded_sets
 from .covers import FamilyOfSets, is_r_disjoint, make_disjoint, mesh
 from .errors import CertificateError, InputError, PreconditionError
 from .metric_core import FiniteMetricSpace, Subset, components, diameter
@@ -120,6 +121,16 @@ def _feasibility(space, R, S):
     return feasible
 
 
+def _feasible_masks(feasible, points):
+    """Every feasible mask over ``points``, in increasing order.  Feasibility is
+    downward closed (dropping a point only splits components and shrinks
+    diameters), so only feasible masks need extending."""
+    masks = [0]
+    for p in sorted(points):
+        masks += [m | 1 << p for m in masks if feasible(m | 1 << p)]
+    return masks
+
+
 def _mask_to_sets(mask, n):
     return frozenset(i for i in range(n) if (mask >> i) & 1)
 
@@ -141,15 +152,9 @@ def best_mass_family(
         raise InputError("measure must live on the given space")
     n = space.n
     if n <= exact_cap:
-        feasible = _feasibility(space, R, S)
         best_mask, best_mass = 0, -1.0
         # only support points matter for mass; adding zero-weight points never helps
-        masks = [0]
-        for p in sorted(mu.support()):
-            masks += [m | 1 << p for m in masks]
-        for mask in masks:
-            if not feasible(mask):
-                continue
+        for mask in _feasible_masks(_feasibility(space, R, S), mu.support()):
             m = sum(mu.weights[p] for p in _mask_to_sets(mask, n))
             if m > best_mass:
                 best_mask, best_mass = mask, m
@@ -251,32 +256,6 @@ def pushforward_measure(f: CoarseMap, mu: ProbMeasure) -> ProbMeasure:
     return ProbMeasure(f.codomain, tuple(w))
 
 
-def _exact_graph_coloring(edges, k, n_vertices):
-    """k-coloring of the graph by backtracking; None when infeasible."""
-    adj = [set() for _ in range(n_vertices)]
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    colors = [None] * n_vertices
-    order = sorted(range(n_vertices), key=lambda v: -len(adj[v]))
-
-    def bt(pos):
-        if pos == n_vertices:
-            return True
-        v = order[pos]
-        used = {colors[u] for u in adj[v] if colors[u] is not None}
-        upper = min(k, max((c for c in colors if c is not None), default=-1) + 2)
-        for c in range(upper):
-            if c not in used:
-                colors[v] = c
-                if bt(pos + 1):
-                    return True
-                colors[v] = None
-        return False
-
-    return colors if bt(0) else None
-
-
 def msp_pushforward(
     f: CoarseMap,
     n: int,
@@ -304,14 +283,13 @@ def msp_pushforward(
         raise PreconditionError(f"witness mass {witness.mass} below 1/2")
     images = [f.image_set(s) for s in witness.family.sets if s]
     Y = f.codomain
-    edges = []
-    for a in range(len(images)):
-        ia = sorted(images[a])
-        for b in range(a + 1, len(images)):
-            ib = sorted(images[b])
-            if Y.dmat[np.ix_(ia, ib)].min() < R:
-                edges.append((a, b))
-    coloring = _exact_graph_coloring(edges, n, len(images))
+    rows = [sorted(s) for s in images]
+    adj = [set() for _ in rows]
+    for a, b in itertools.combinations(range(len(rows)), 2):
+        if Y.dmat[np.ix_(rows[a], rows[b])].min() < R:
+            adj[a].add(b)
+            adj[b].add(a)
+    coloring = graph_coloring(adj, n)
     if coloring is not None:
         classes = {}
         for idx, c in enumerate(coloring):
@@ -475,10 +453,13 @@ def map_msp_check(
 
 
 def _maximal_feasible_sets(space, pts, R, S):
+    """Feasible masks over ``pts`` with no feasible one-point extension, in
+    increasing order; by downward closure these are the maximal ones."""
     sub, _ = space.subspace(pts)
-    feasible = _feasibility(sub, R, S)
-    feas = [mask for mask in range(1, 1 << len(pts)) if feasible(mask)]
-    return [m for m in feas if not any(m != o and m & o == m for o in feas)]
+    feas = _feasible_masks(_feasibility(sub, R, S), range(sub.n))
+    known = set(feas)
+    return [m for m in feas
+            if not any((m | 1 << i) in known for i in range(sub.n) if not (m >> i) & 1)]
 
 
 def _game_value(space, pts, R, S):

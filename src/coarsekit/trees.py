@@ -503,12 +503,11 @@ def tree_pushforward(
     input set (the containment audit).  Returns (tree, audit).
     """
     D = as_control(D)
-    _require_valid(t, "casdim")
+    rep = _require_valid(t, "casdim")
     if not is_partition_tree(t):
         raise PreconditionError("pushforward needs a partition tree; refine first")
     if not f.is_surjective():
         raise PreconditionError("map must be surjective")
-    rep = verify_tree(t, "casdim")
     depth = rep.bounded_levels[0]
     scales = [float(r) for r in target_scales]
     if len(scales) < depth - 1:

@@ -336,6 +336,13 @@ class TestDeterminism:
         assert err == ""
         assert report1 == report2
 
+    def test_output_into_missing_directory_is_usage_error(self, capsys, tmp_path, path16):
+        target = tmp_path / "missing" / "r.json"
+        code, report, err = run(capsys, ["--output", str(target), "space", "--space", path16])
+        assert code == 2 and report is None
+        assert err.startswith(f"error: cannot write {target}:")
+        assert "Traceback" not in err
+
     def test_parameters_exclude_io_flags(self, capsys, tmp_path, path16):
         cov = write(tmp_path, "cov.json", {"sets": [list(range(16))]})
         _, report, _ = run(

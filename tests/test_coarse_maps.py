@@ -162,6 +162,13 @@ class TestNTo1Control:
         assert not ok
         assert wit[1] == 39.0
 
+    def test_ball_fallback_scales_are_flagged(self):
+        # 70 codomain points: balls stand in for the maximal r-bounded sets, so
+        # C(1) = 2 from the balls is only an upper bound on the least control 1
+        ctl = n_to_1_control(identity_map(path_space(70)), 1)
+        assert ctl.step(1.0) == 2.0
+        assert 1.0 in ctl.relaxed_at
+
 
 class TestPushforwardCover:
     def test_fold_singletons(self):

@@ -61,6 +61,21 @@ class TestBuildSpace:
                 {"kind": "matrix", "labels": [0, 1], "matrix": [[0, 1], [2, 0]]}
             )
 
+    def test_collinear_integer_l2_cloud_accepted(self):
+        # exact on the reals (the points are collinear), but the rounded square
+        # roots break the float triangle inequality
+        sp = build_space({"kind": "cloud", "coords": [[50, 27], [80, 47], [107, 65]]})
+        assert sp.n == 3
+        assert sp.d(0, 1) == math.sqrt(30**2 + 20**2)
+
+    def test_duplicate_cloud_point_rejected(self):
+        with pytest.raises(MetricError, match="coincide"):
+            build_space({"kind": "cloud", "coords": [[0, 0], [1, 2], [0, 0]]})
+
+    def test_non_finite_cloud_coordinate_rejected(self):
+        with pytest.raises(MetricError, match="finite"):
+            build_space({"kind": "cloud", "coords": [[0, 0], [1, math.nan]]})
+
 
 class TestNeighborhood:
     def test_strict_ball_around_singleton(self):

@@ -20,6 +20,8 @@ from coarsekit import (
     neighborhood,
     r_components,
 )
+from coarsekit.coarse_maps import _component_relaxation, min_max_diameter_partition
+from coarsekit.msp import _feasibility, _maximal_feasible_sets
 
 
 @st.composite
@@ -154,3 +156,34 @@ def test_diameter_equals_max_pairwise(data):
     assert diameter(A) == max(
         (sp.d(a, b) for a in pts for b in pts), default=0.0
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_spaces(), st.integers(1, 3))
+def test_partition_searches_match_exhaustive_references(sp, n):
+    everything = frozenset(range(sp.n))
+    d = sp.dmat.tolist()
+    # reference: the best max part diameter over every labelling with n labels
+    best = min(
+        max((d[a][b] for a, b in itertools.combinations(range(sp.n), 2) if lab[a] == lab[b]),
+            default=0.0)
+        for lab in itertools.product(range(n), repeat=sp.n)
+    )
+    value, parts = min_max_diameter_partition(sp, everything, n)
+    assert value == best
+    assert len(parts) <= n and sorted(p for part in parts for p in part) == sorted(everything)
+    assert max(diameter(Subset(sp, part)) for part in parts) == value
+    # reference: the relaxation's least R with <= n R-components, by a linear scan
+    R = next(R for R in sp.realized_distances() if len(r_components(sp.full(), R)) <= n)
+    assert _component_relaxation(sp, everything, n) == max(
+        diameter(c) for c in r_components(sp.full(), R)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_spaces(), scales, scales)
+def test_maximal_feasible_sets_match_pairwise_filter(sp, R, S):
+    feasible = _feasibility(sp, R, S)
+    feas = [m for m in range(1, 1 << sp.n) if feasible(m)]
+    reference = [m for m in feas if not any(m != o and m & o == m for o in feas)]
+    assert _maximal_feasible_sets(sp, list(range(sp.n)), R, S) == reference
