@@ -69,14 +69,17 @@ class _UsageError(Exception):
     pass
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
+    """(decoded JSON, raw bytes) of a file, read once; failures are usage errors."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise _UsageError(f"input file not found: {path}")
     except OSError as e:
         raise _UsageError(f"cannot read {path}: {e.strerror}")
+    try:
+        return json.loads(data.decode("utf-8")), data
     except UnicodeDecodeError:
         raise _UsageError(f"{path} is not UTF-8 text")
     except json.JSONDecodeError as e:
@@ -88,7 +91,7 @@ def _control_arg(value: str):
     try:
         obj = json.loads(value)
     except json.JSONDecodeError:
-        obj = _load_json(value)
+        obj, _ = _load_json(value)
     try:
         return as_control(obj)
     except KeyError as e:
@@ -121,8 +124,8 @@ class _Inputs:
     def load(self, attr, decode, *ctx):
         """Decode the JSON file named by ``args.<attr>``; bad content is a usage error."""
         path = getattr(self.args, attr)
-        obj = _load_json(path)
-        self.digests[attr] = digest(path)
+        obj, data = _load_json(path)
+        self.digests[attr] = digest(data)
         try:
             return decode(obj, *ctx)
         except KeyError as e:

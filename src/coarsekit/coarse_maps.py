@@ -327,10 +327,21 @@ def verify_n_to_1(f: CoarseMap, n: int, C, r: float):
     accepts falsely: every part of diameter <= C(r) lies in one component, so
     a rejection by component count is exact; a rejection by component width
     is conservative, since a wide component might still split into narrow
-    parts.  Returns (ok, witness).
+    parts.
+
+    A codomain above CLIQUE_ENUM_CAP points has its maximal r-bounded sets
+    enumerated inside each closed ball B(y, r) (every r-bounded set lies in
+    the ball around any of its points), not replaced by the balls, which may
+    be 2r wide.  A ball itself above the cap is replaced by its own balls:
+    conservative again, it may reject but never accepts falsely.  Returns
+    (ok, witness).
     """
     cr = C(r)
-    subsets, _ = maximal_r_bounded_sets(f.codomain, r)
+    subsets, exact = maximal_r_bounded_sets(f.codomain, r)
+    if not exact:
+        subsets = dict.fromkeys(
+            B for ball in subsets for B in maximal_r_bounded_sets(f.codomain, r, within=ball)[0]
+        )
     for B in subsets:
         pre = f.preimage(B)
         if not pre:

@@ -1,5 +1,14 @@
 """Families of subsets with scale statistics and the multiplicity-to-disjointness split.
 
+A family is held as one boolean ``membership`` matrix (sets x points), and
+every scale statistic reads it or its R-expansion ``expansion(R)``
+(``M | (M @ (d < R) > 0)``, ``<=`` when closed): the multiplicity
+(``dim_at_scale``) is the column sums of the expansion, R-disjointness asks
+whether an expansion row meets another membership row, and the distances to
+the complements of the rows (``_dist_outside``) give both the Lebesgue number
+(membership rows) and the level functions of the disjointification
+(expansion rows).
+
 The disjointification construction works from the level functions
 ``f_s(x) = dist(x, X \\ B(U_s, R))``.  Membership of a point in a color class
 uses a margin of R/(n+1) between the inside and outside f-values.  On finite
@@ -13,19 +22,14 @@ containment in R-neighborhood intersections, mesh growth <= 2R) is preserved.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import CertificateError, InputError, PreconditionError
-from .metric_core import (
-    FiniteMetricSpace,
-    Subset,
-    diameter,
-    neighborhood,
-)
+from .metric_core import FiniteMetricSpace, Subset, diameter
 
 __all__ = [
     "FamilyOfSets",
@@ -35,6 +39,7 @@ __all__ = [
     "mesh",
     "lebesgue_number",
     "make_disjoint",
+    "on_carrier",
 ]
 
 
@@ -71,14 +76,47 @@ class FamilyOfSets:
     def __len__(self):
         return len(self.sets)
 
+    @cached_property
+    def membership(self) -> np.ndarray:
+        """Read-only boolean matrix: row k marks the points of set k."""
+        M = np.zeros((len(self.sets), self.space.n), dtype=bool)
+        for k, s in enumerate(self.sets):
+            M[k, list(s)] = True
+        M.setflags(write=False)
+        return M
+
+    @cached_property
+    def _expansions(self) -> dict:
+        return {}
+
+    def expansion(self, R: float, *, closed: bool = False) -> np.ndarray:
+        """Read-only membership of the expansions B(U_k, R): set k plus every
+        point at distance < R from it (<= R when closed).  Computed once per
+        (R, closed) and kept on the family."""
+        key = (R, closed)
+        if key not in self._expansions:
+            near = self.space.dmat <= R if closed else self.space.dmat < R
+            exp = self.membership | (self.membership.astype(float) @ near > 0)
+            exp.setflags(write=False)
+            self._expansions[key] = exp
+        return self._expansions[key]
+
     def union(self) -> frozenset:
         out = frozenset()
         for s in self.sets:
             out |= s
         return out
 
+    def uncovered(self) -> list[int]:
+        """Points of the space in no set, in increasing order."""
+        return np.flatnonzero(~self.membership.any(axis=0)).tolist()
+
     def covers_space(self) -> bool:
-        return self.union() == frozenset(range(self.space.n))
+        return not self.uncovered()
+
+    def max_diameter(self) -> float:
+        """Largest diameter among the nonempty sets; 0.0 when there is none."""
+        return max((diameter(Subset(self.space, s)) for s in self.sets if s), default=0.0)
 
     def color_class(self, c: int) -> "FamilyOfSets":
         if self.colors is None:
@@ -91,48 +129,52 @@ class FamilyOfSets:
         return [self.color_class(c) for c in range(self.n_colors or 0)]
 
 
+def on_carrier(space: FiniteMetricSpace, sets):
+    """The family of ``sets`` on the subspace their union carries, and the map
+    lifting a family on that subspace back to a family on ``space``.
+
+    Lets a family that need not cover ``space`` be disjointified: its union
+    covers the carrier.
+    """
+    sub, old_of_new = space.subspace(frozenset().union(*sets))
+    new_of_old = {o: q for q, o in enumerate(old_of_new)}
+    fam = FamilyOfSets(sub, tuple(frozenset(new_of_old[y] for y in s) for s in sets))
+
+    def lift(F: FamilyOfSets) -> FamilyOfSets:
+        return FamilyOfSets(space, tuple(frozenset(old_of_new[q] for q in s) for s in F.sets))
+
+    return fam, lift
+
+
 def dim_at_scale(F: FamilyOfSets, R: float, *, closed: bool = False) -> int:
-    """Nerve dimension of the R-expanded family: max point multiplicity - 1.
+    """Nerve dimension of the R-expanded family: max point multiplicity - 1
+    (-1 when every set is empty).
 
     ``closed`` switches the expansion to d <= R (used when R comes from a
     control that certifies an attained bound).
     """
     if not len(F):
         raise PreconditionError("dim_at_scale requires a nonempty family")
-    sp = F.space
-    mult = np.zeros(sp.n, dtype=int)
-    any_nonempty = False
-    for s in F.sets:
-        if not s:
-            continue
-        any_nonempty = True
-        exp = neighborhood(Subset(sp, s), R, closed=closed)
-        for i in exp.members:
-            mult[i] += 1
-    if not any_nonempty:
-        return -1
-    return int(mult.max()) - 1
+    return int(F.expansion(R, closed=closed).sum(axis=0).max()) - 1
 
 
 def is_r_disjoint(F: FamilyOfSets, R: float):
     """True iff distinct sets are at distance >= R.  Returns (ok, witness).
 
-    The witness on failure is ((set_a, point_a), (set_b, point_b), distance).
+    The witness on failure is ((set_a, point_a), (set_b, point_b), distance)
+    for the first pair a < b closer than R, and the closest points of that pair.
     """
-    sp = F.space
-    sets = [sorted(s) for s in F.sets]
-    for a in range(len(sets)):
-        if not sets[a]:
-            continue
-        for b in range(a + 1, len(sets)):
-            if not sets[b]:
-                continue
-            block = sp.dmat[np.ix_(sets[a], sets[b])]
-            m = block.min()
-            if m < R:
-                pa, pb = np.unravel_index(int(block.argmin()), block.shape)
-                return False, ((a, sets[a][pa]), (b, sets[b][pb]), float(m))
-    return True, None
+    if len(F) < 2 or R <= 0:
+        return True, None
+    # meets[a, b]: the R-expansion of set a contains a point of set b
+    meets = np.triu(F.expansion(R).astype(float) @ F.membership.T > 0, 1)
+    if not meets.any():
+        return True, None
+    a, b = (int(v) for v in np.argwhere(meets)[0])
+    sa, sb = sorted(F.sets[a]), sorted(F.sets[b])
+    block = F.space.dmat[np.ix_(sa, sb)]
+    pa, pb = np.unravel_index(int(block.argmin()), block.shape)
+    return False, ((a, sa[pa]), (b, sb[pb]), float(block[pa, pb]))
 
 
 def mesh(F: FamilyOfSets) -> float:
@@ -141,7 +183,17 @@ def mesh(F: FamilyOfSets) -> float:
         raise PreconditionError("mesh requires a nonempty family")
     if any(not s for s in F.sets):
         raise PreconditionError("mesh requires nonempty sets")
-    return max(diameter(Subset(F.space, s)) for s in F.sets)
+    return F.max_diameter()
+
+
+def _dist_outside(space: FiniteMetricSpace, membership: np.ndarray) -> np.ndarray:
+    """dist(x, X \\ U_k) for every row U_k of ``membership`` and every point x;
+    +inf along a row that covers the whole space."""
+    out = np.full(membership.shape, np.inf)
+    for k, row in enumerate(membership):
+        if not row.all():
+            out[k] = space.dmat[:, ~row].min(axis=1)
+    return out
 
 
 def lebesgue_number(F: FamilyOfSets) -> float:
@@ -152,55 +204,27 @@ def lebesgue_number(F: FamilyOfSets) -> float:
     expansion), so per point the value is the best such minimum over members
     containing x.
     """
-    sp = F.space
-    if not F.covers_space():
-        uncovered = sorted(set(range(sp.n)) - F.union())
+    uncovered = F.uncovered()
+    if uncovered:
         raise PreconditionError(f"family does not cover the space; uncovered {uncovered}")
-    best = math.inf
-    allpts = set(range(sp.n))
-    for x in range(sp.n):
-        per_point = 0.0
-        for s in F.sets:
-            if x not in s:
-                continue
-            outside = sorted(allpts - s)
-            if not outside:
-                per_point = math.inf
-                break
-            per_point = max(per_point, float(np.min(sp.dmat[x, outside])))
-        best = min(best, per_point)
-    return best
+    inside = np.where(F.membership, _dist_outside(F.space, F.membership), 0.0)
+    return float(inside.max(axis=0).min())
 
 
 @dataclass(frozen=True)
 class DisjointificationTrace:
     """Audit record of one make_disjoint run.
 
-    ``f_values[s][x]`` is dist(x, X \\ B(U_s, R)); ``w_sets`` maps each realized
-    index tuple T to the gap set W_T; ``margin_sets`` maps T to the margin
-    subset actually emitted (contained in the inner-shrunk W_T).
+    ``w_sets`` maps each realized index tuple T to the gap set W_T, the points
+    whose level values f_s(x) = dist(x, X \\ B(U_s, R)) are all larger on T
+    than off it; ``margin_sets`` maps T to the margin subset actually emitted
+    (contained in the inner-shrunk W_T), the output set of color len(T) - 1.
     """
 
     R: float
     n: int
-    f_values: tuple
     w_sets: dict = field(compare=False)
     margin_sets: dict = field(compare=False)
-    output: FamilyOfSets = None
-
-
-def _level_functions(space: FiniteMetricSpace, F: FamilyOfSets, R: float) -> np.ndarray:
-    """f_s(x) per set s; +inf where the expanded set is the whole space."""
-    vals = np.empty((len(F.sets), space.n))
-    allpts = set(range(space.n))
-    for k, s in enumerate(F.sets):
-        exp = neighborhood(Subset(space, s), R)
-        outside = sorted(allpts - exp.members)
-        if not outside:
-            vals[k, :] = math.inf
-        else:
-            vals[k, :] = np.min(space.dmat[:, outside], axis=1)
-    return vals
 
 
 def make_disjoint(U: FamilyOfSets, R: float, n: Optional[int] = None):
@@ -223,50 +247,35 @@ def make_disjoint(U: FamilyOfSets, R: float, n: Optional[int] = None):
         raise PreconditionError(f"R-dimension {dim} exceeds the supplied bound n={n}")
     gamma = R / (n + 1)
 
-    fvals = _level_functions(sp, U, R)
-    nsets = len(U.sets)
+    fvals = _dist_outside(sp, U.expansion(R))
 
-    # Per point, emit every top-prefix cut whose gap is >= gamma; T = indices
-    # left of the cut.  Points with a cut are in the margin set M_T.
+    # Per point, every top-prefix cut of its f-values (in decreasing order,
+    # ties by set index) with a gap >= gamma above a positive value; T = the
+    # indices left of the cut.  Points with a cut are in the margin set M_T.
+    order = np.argsort(-fvals, axis=0, kind="stable")
+    hi = np.take_along_axis(fvals, order, axis=0)
+    lo = np.vstack([hi[1:], np.zeros((1, sp.n))])
+    with np.errstate(invalid="ignore"):  # inf - inf: no gap between two infinite values
+        cuts = (hi - lo >= gamma) & (hi > 0)
+    columns = order.T.tolist()
     margin_members: dict[tuple, set] = {}
-    for x in range(sp.n):
-        col = fvals[:, x]
-        order = sorted(range(nsets), key=lambda s: (-col[s], s))
-        vals = [col[s] for s in order] + [0.0]
-        for cut in range(1, nsets + 1):
-            hi, lo = vals[cut - 1], vals[cut]
-            if hi == math.inf and lo < math.inf:
-                gap_ok = True
-            else:
-                gap_ok = (hi - lo) >= gamma if hi < math.inf else False
-            if gap_ok and hi > 0:
-                T = tuple(sorted(order[:cut]))
-                margin_members.setdefault(T, set()).add(x)
-            if lo == 0.0:
-                break
+    for x, cut in zip(*np.nonzero(cuts.T)):
+        T = tuple(sorted(columns[x][: cut + 1]))
+        margin_members.setdefault(T, set()).add(int(x))
 
     # Gap sets W_T for the realized T's, for the audit trail.
     w_sets = {}
     for T in margin_members:
-        tset = set(T)
-        members = []
-        for x in range(sp.n):
-            col = fvals[:, x]
-            inside = min(col[t] for t in T)
-            rest = [col[s] for s in range(nsets) if s not in tset]
-            outside = max(rest) if rest else 0.0
-            if inside > outside:
-                members.append(x)
-        w_sets[T] = frozenset(members)
+        on_t = np.zeros(len(U), dtype=bool)
+        on_t[list(T)] = True
+        inside = fvals[on_t].min(axis=0) > fvals[~on_t].max(axis=0, initial=0.0)
+        w_sets[T] = frozenset(np.flatnonzero(inside).tolist())
 
     sets, colors, tuples = [], [], []
     for T in sorted(margin_members, key=lambda t: (len(t), t)):
-        members = frozenset(margin_members[T])
-        if not members:
-            continue
         if len(T) > n + 1:
             raise CertificateError("realized index tuple larger than n+1", witness=T)
-        sets.append(members)
+        sets.append(frozenset(margin_members[T]))
         colors.append(len(T) - 1)
         tuples.append(T)
     out = FamilyOfSets(sp, tuple(sets), tuple(colors), n_colors=n + 1)
@@ -275,35 +284,29 @@ def make_disjoint(U: FamilyOfSets, R: float, n: Optional[int] = None):
     trace = DisjointificationTrace(
         R=R,
         n=n,
-        f_values=tuple(tuple(row) for row in fvals),
         w_sets=w_sets,
         margin_sets={T: s for T, s in zip(tuples, sets)},
-        output=out,
     )
     return out, trace
 
 
 def _check_disjointification(U, R, n, out, tuples):
-    sp = U.space
-    if not out.covers_space():
-        uncovered = sorted(set(range(sp.n)) - out.union())
+    uncovered = out.uncovered()
+    if uncovered:
         raise CertificateError("disjointification does not cover", witness=uncovered)
     for c in range(n + 1):
         cls = out.color_class(c)
         ok, wit = is_r_disjoint(cls, R / (n + 1))
         if not ok:
             raise CertificateError(f"color class {c} not R/(n+1)-disjoint", witness=wit)
-    in_mesh = max(
-        (diameter(Subset(sp, s)) for s in U.sets if s), default=0.0
-    )
-    bound = in_mesh + 2 * R
+    bound = U.max_diameter() + 2 * R
     m = mesh(out)
     if m > bound:
         raise CertificateError(f"output mesh {m} exceeds {bound}")
-    for s, T in zip(out.sets, tuples):
+    exp = U.expansion(R)
+    for s, row, T in zip(out.sets, out.membership, tuples):
         for t in T:
-            exp = neighborhood(Subset(sp, U.sets[t]), R)
-            if not s <= exp.members:
+            if (row & ~exp[t]).any():
                 raise CertificateError(
                     "output set escapes an R-neighborhood of its defining input set",
                     witness=(sorted(s), t),

@@ -15,7 +15,7 @@ import numpy as np
 
 from .controls import as_control
 from .coarse_maps import CoarseMap, control_upper
-from .covers import FamilyOfSets, dim_at_scale, is_r_disjoint, make_disjoint, mesh
+from .covers import FamilyOfSets, dim_at_scale, is_r_disjoint, make_disjoint, mesh, on_carrier
 from .errors import CertificateError, InputError, PreconditionError, Refusal
 from .metric_core import FiniteMetricSpace, Subset, components, diameter, r_components
 
@@ -405,12 +405,7 @@ def apc_pushforward(
                 out_families.append(FamilyOfSets(f.codomain, ()))
                 audit.append({"from_family": i, "class": j, "certified_by": scales[i * n - 1]})
             continue
-        carrier = frozenset().union(*(f.image_set(s) for s in nonempty))
-        sub, old_of_new = f.codomain.subspace(carrier)
-        new_of_old = {o: q for q, o in enumerate(old_of_new)}
-        images = FamilyOfSets(
-            sub, tuple(frozenset(new_of_old[y] for y in f.image_set(s)) for s in nonempty)
-        )
+        images, lift = on_carrier(f.codomain, [f.image_set(s) for s in nonempty])
         d_img = dim_at_scale(images, r, closed=D.expansion_closed())
         if d_img > n - 1:
             raise CertificateError(
@@ -418,11 +413,7 @@ def apc_pushforward(
             )
         colored, _ = make_disjoint(images, r, n - 1)
         for j in range(n):
-            cls = colored.color_class(j)
-            lifted = FamilyOfSets(
-                f.codomain, tuple(frozenset(old_of_new[q] for q in s) for s in cls.sets)
-            )
-            out_families.append(lifted)
+            out_families.append(lift(colored.color_class(j)))
             audit.append({"from_family": i, "class": j, "certified_by": scales[i * n - 1]})
     out = ApcWitness(f.codomain, tuple(scales), tuple(out_families))
     cert = verify_apc_witness(out)

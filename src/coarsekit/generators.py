@@ -84,21 +84,22 @@ def random_cover(
         rng.shuffle(order)
         remaining = set(order)
         chunks = []
+        pos = 0
         while remaining:
-            seed_pt = min(remaining, key=lambda p: order.index(p))
+            # the seed is the first point of ``order`` not yet taken
+            while order[pos] not in remaining:
+                pos += 1
+            row = space.dmat[order[pos]].tolist()
             size = rng.randint(2, 6)
-            near = sorted(remaining, key=lambda q: (space.dmat[seed_pt, q], q))[:size]
-            chunk = set(near)
+            chunk = set(sorted(remaining, key=lambda q: (row[q], q))[:size])
             remaining -= chunk
             chunks.append(chunk)
         sets = []
         for chunk in chunks:
             extra = rng.randint(0, 2)
             if extra:
-                others = sorted(
-                    set(range(n)) - chunk,
-                    key=lambda q: (min(space.dmat[q, p] for p in chunk), q),
-                )[:extra]
+                gap = space.dmat[:, sorted(chunk)].min(axis=1).tolist()
+                others = sorted(set(range(n)) - chunk, key=lambda q: (gap[q], q))[:extra]
                 chunk = chunk | set(others)
             sets.append(frozenset(chunk))
         fam = FamilyOfSets(space, tuple(sets))

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .coarse_maps import CoarseMap, control_upper, graph_coloring, maximal_r_bounded_sets
-from .covers import FamilyOfSets, is_r_disjoint, make_disjoint, mesh
+from .covers import FamilyOfSets, is_r_disjoint, make_disjoint, mesh, on_carrier
 from .errors import CertificateError, InputError, PreconditionError
 from .metric_core import FiniteMetricSpace, Subset, components, diameter
 
@@ -78,9 +78,9 @@ class MassFamily:
         ok, wit = is_r_disjoint(self.family, self.R)
         if not ok:
             raise CertificateError("family not R-disjoint", witness=wit)
-        for s in self.family.sets:
-            if s and diameter(Subset(self.family.space, s)) > self.S:
-                raise CertificateError("a set exceeds the diameter bound", witness=sorted(s))
+        widest = self.family.max_diameter()
+        if widest > self.S:
+            raise CertificateError("a set exceeds the diameter bound", witness=widest)
         got = mu.mass(self.family.union())
         if not math.isclose(got, self.mass, rel_tol=0, abs_tol=1e-12):
             raise CertificateError(f"mass mismatch: stated {self.mass}, got {got}")
@@ -300,25 +300,11 @@ def msp_pushforward(
             c: FamilyOfSets(Y, tuple(sets)) for c, sets in sorted(classes.items())
         }
     else:
-        carrier = frozenset().union(*images)
-        sub, old_of_new = Y.subspace(carrier)
-        new_of_old = {o: q for q, o in enumerate(old_of_new)}
-        img_fam = FamilyOfSets(
-            sub, tuple(frozenset(new_of_old[y] for y in s) for s in images)
-        )
+        img_fam, lift = on_carrier(Y, images)
         colored, _ = make_disjoint(img_fam, n * R, n - 1)
         S = E(B) + 2 * n * R
         flags = {"route": "disjointify", "bound_slack": n * R}
-        fams = {
-            c: FamilyOfSets(
-                Y,
-                tuple(
-                    frozenset(old_of_new[q] for q in s)
-                    for s in colored.color_class(c).sets
-                ),
-            )
-            for c in range(n)
-        }
+        fams = {c: lift(colored.color_class(c)) for c in range(n)}
     best_c, best_m = None, -1.0
     covered = frozenset()
     for c, fam in fams.items():
@@ -348,18 +334,22 @@ def msp_pullback(
     """Compose codomain and fiber mass searches into a domain witness.
 
     Pushes mu forward, finds a codomain set of mass > 1/2 with K-bounded
-    R_Y-components (R_Y defaults to E(R_X)), then per component finds a fiber
-    set holding > 1/2 of the component's preimage mass with S-bounded
-    R_X-components.  The union has mass >= 0.25 (equality flagged) and
-    S-bounded R_X-components.
+    R_Y-components, then per component finds a fiber set holding > 1/2 of the
+    component's preimage mass with S-bounded R_X-components.  The union has
+    mass >= 0.25 (equality flagged) and S-bounded R_X-components.
+
+    R_Y must exceed E(R_X): points closer than R_X map less than R_Y apart,
+    into one R_Y-component, so the preimages of distinct components stay R_X
+    apart.  It defaults to the least realized codomain distance above
+    E(R_X) (inf when there is none), the smallest such scale.
     """
     if mu.space is not f.domain:
         raise InputError("measure must live on the domain")
     E = control_upper(f)
     if R_Y is None:
-        R_Y = E(R_X)
-    elif R_Y < E(R_X):
-        raise PreconditionError(f"R_Y must be >= E(R_X) = {E(R_X)}")
+        R_Y = min((d for d in f.codomain.realized_distances() if d > E(R_X)), default=math.inf)
+    elif R_Y <= E(R_X):
+        raise PreconditionError(f"R_Y must be > E(R_X) = {E(R_X)}")
     lam = pushforward_measure(f, mu)
     stage1 = best_mass_family(f.codomain, lam, R_Y, K)
     if stage1.mass < 0.5:
@@ -367,16 +357,19 @@ def msp_pullback(
             f"codomain stage mass {stage1.mass} below 1/2", witness="codomain"
         )
     pieces = []
-    total = 0.0
     for comp in stage1.family.sets:
         pre = f.preimage(comp)
-        pre_mass = mu.mass(pre)
-        if pre_mass <= 0:
+        if mu.mass(pre) <= 0:
+            continue
+        # The weighted part of the preimage is its own fiber set of full mass
+        # when its R_X-components are S-bounded; the search runs otherwise.
+        heavy = components(f.domain, (x for x in pre if mu.weights[x] > 0), R_X, strict=True)
+        if all(diameter(Subset(f.domain, c)) <= S for c in heavy):
+            pieces += heavy
             continue
         sub, old_of_new = f.domain.subspace(pre)
         local = ProbMeasure(sub, tuple(mu.weights[o] for o in old_of_new))
         found = best_mass_family(sub, local, R_X, S)
-        got = found.mass * pre_mass
         if found.mass < 0.5:
             raise CertificateError(
                 f"fiber stage mass {found.mass} below 1/2 over component "
@@ -385,7 +378,6 @@ def msp_pullback(
             )
         for s in found.family.sets:
             pieces.append(frozenset(old_of_new[q] for q in s))
-        total += got
     omega = frozenset().union(*pieces)
     comps = components(f.domain, omega, R_X, strict=True)
     for c in comps:

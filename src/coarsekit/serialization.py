@@ -179,6 +179,6 @@ def dumps_report(report: dict) -> str:
     return json.dumps(_plain(body), sort_keys=True, indent=2) + "\n"
 
 
-def digest(path_or_bytes) -> str:
-    data = path_or_bytes if isinstance(path_or_bytes, bytes) else open(path_or_bytes, "rb").read()
+def digest(data: bytes) -> str:
+    """SHA-256 hex digest of an input file's bytes, as recorded in reports."""
     return hashlib.sha256(data).hexdigest()

@@ -130,7 +130,7 @@ def verify_tree(t: DecompositionTree, mode: str) -> TreeReport:
     bounded = tuple(
         i + 1
         for i, lvl in enumerate(t.levels)
-        if all(not s or diameter(Subset(t.space, s)) <= t.terminal_mesh for s in lvl.sets)
+        if lvl.max_diameter() <= t.terminal_mesh
     )
     if not bounded:
         violations.append((t.depth, None, "no_bounded_level", t.terminal_mesh))
@@ -364,9 +364,9 @@ def tree_to_cover(t: DecompositionTree, R: float) -> FamilyOfSets:
             sets.append(lvl.sets[j])
             cols.append(color_id[colors[j]])
     out = FamilyOfSets(t.space, tuple(sets), tuple(cols), n_colors=len(tuples))
-    if not out.covers_space():
-        raise CertificateError("unfolded cover misses points",
-                               witness=sorted(set(range(t.space.n)) - out.union()))
+    uncovered = out.uncovered()
+    if uncovered:
+        raise CertificateError("unfolded cover misses points", witness=uncovered)
     for c in range(len(tuples)):
         ok, wit = is_r_disjoint(out.color_class(c), R)
         if not ok:
@@ -431,10 +431,7 @@ def tree_pullback(
             table.append(tuple(subfams))
         new_splits.append(tuple(table))
     # extra level: chain components of the terminal preimages
-    b = max(
-        (diameter(Subset(t.space, s)) for s in t.levels[-1].sets if s), default=0.0
-    )
-    bound = n * D(b) + (n - 1) * Rc
+    bound = n * D(t.levels[-1].max_diameter()) + (n - 1) * Rc
     last = new_levels[-1]
     final_sets = []
     table = []
@@ -584,13 +581,9 @@ def tree_pushforward(
         out_splits.append(tuple(table))
         backing = next_backing
         L = L_next
-    b = max(
-        (diameter(Subset(t.space, s)) for s in t.levels[depth - 1].sets if s), default=0.0
-    )
+    b = t.levels[depth - 1].max_diameter()
     E = control_upper(f)
-    term = max(
-        (diameter(Subset(Y, s)) for s in out_levels[-1].sets if s), default=0.0
-    )
+    term = out_levels[-1].max_diameter()
     if term > E(b) + 2 * L:
         raise CertificateError(
             f"terminal mesh {term} exceeds E(b)+2L = {E(b) + 2 * L}"

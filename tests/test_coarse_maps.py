@@ -162,6 +162,15 @@ class TestNTo1Control:
         assert not ok
         assert wit[1] == 39.0
 
+    @pytest.mark.parametrize("n_points", [70, 100])
+    def test_verify_above_clique_cap_checks_sets_inside_balls(self, n_points):
+        # above CLIQUE_ENUM_CAP codomain points the maximal r-bounded sets are
+        # enumerated inside each closed ball, not replaced by the 2r-wide balls
+        f = identity_map(path_space(n_points))
+        assert verify_n_to_1(f, 1, LinearControl(1.0), 1.0) == (True, None)
+        ok, wit = verify_n_to_1(f, 1, LinearControl(0.5), 1.0)
+        assert not ok and wit == (frozenset({0, 1}), 1.0)
+
     def test_ball_fallback_scales_are_flagged(self):
         # 70 codomain points: balls stand in for the maximal r-bounded sets, so
         # C(1) = 2 from the balls is only an upper bound on the least control 1

@@ -7,7 +7,10 @@ searches: the partition search and its component relaxation (``map control``),
 the image colouring of ``msp push``, the mass search (``msp family``), the
 maximal feasible sets of the game LP (``msp check``), the greedy and
 depth-first witness search with its refusal residue (``apc witness``), and
-``cover disjointify``.
+the set-family kernels: multiplicity (``cover dim``, open and closed),
+Lebesgue number, disjointification (``cover disjointify``, ``apc
+normalize``), R-disjointness with its witness (``tree verify``) and the
+unfolded tree cover (``tree cover``).
 
 To record the files again after an intended report change, run this module
 as a script: ``PYTHONPATH=src python tests/test_golden_reports.py``.
@@ -49,6 +52,18 @@ def _fold(points):
 _MAP = ["--domain", "dom.json", "--codomain", "cod.json", "--map", "map.json"]
 _SQUARES = [-(k * k) for k in range(9, 0, -1)] + [k * k for k in range(10)]
 _GRID = [(x, y) for x in range(5) for y in range(3)]
+_GRID6 = [(x, y) for x in range(6) for y in range(6)]
+# overlapping 3x3 and 4x3 blocks of the 6x6 grid (indices 6x + y)
+_BLOCKS6 = [[6 * x + y for x in xs for y in ys]
+            for xs in (range(0, 3), range(2, 6)) for ys in (range(0, 4), range(3, 6))]
+# the 2x2 blocks of the 6x6 grid, a partition
+_QUADS6 = [[6 * x + y for x in (i, i + 1) for y in (j, j + 1)]
+           for i in range(0, 6, 2) for j in range(0, 6, 2)]
+_TREE16 = {
+    "levels": [{"sets": [list(range(16))]},
+               {"sets": [list(range(0, 7)), list(range(9, 16)), [7, 8]]}],
+    "branching": [2], "splits": [[[[0, 1], [2]]]], "terminal_mesh": 6.0, "union_mode": "equal",
+}
 
 # name -> (input files, argv, exit code)
 CASES = {
@@ -81,6 +96,28 @@ CASES = {
         {"sp.json": _line(range(21)),
          "cov.json": {"sets": [list(range(0, 11)), list(range(5, 16)), list(range(10, 21))]}},
         ["cover", "disjointify", "--space", "sp.json", "--cover", "cov.json", "--scale", "2"], 0),
+    "cover-dim": (
+        {"sp.json": _cloud(_GRID6, "l1"), "cov.json": {"sets": _QUADS6}},
+        ["cover", "dim", "--space", "sp.json", "--cover", "cov.json", "--scale", "2"], 0),
+    "cover-dim-closed": (
+        # points exactly 2 from a block join its closed expansion only
+        {"sp.json": _cloud(_GRID6, "l1"), "cov.json": {"sets": _QUADS6}},
+        ["cover", "dim", "--space", "sp.json", "--cover", "cov.json", "--scale", "2", "--closed"], 0),
+    "cover-lebesgue": (
+        {"sp.json": _cloud(_GRID6, "l1"), "cov.json": {"sets": _BLOCKS6}},
+        ["cover", "lebesgue", "--space", "sp.json", "--cover", "cov.json"], 0),
+    "tree-cover": (
+        {"sp.json": _line(range(16)), "tree.json": {**_TREE16, "scales": [2.0]}},
+        ["tree", "cover", "--space", "sp.json", "--tree", "tree.json", "--scale", "2"], 0),
+    "tree-verify-not-disjoint": (
+        # the two big sets are 3 apart, below the level scale 4: an is_r_disjoint witness
+        {"sp.json": _line(range(16)), "tree.json": {**_TREE16, "scales": [4.0]}},
+        ["tree", "verify", "--space", "sp.json", "--tree", "tree.json", "--mode", "casdim"], 1),
+    "apc-normalize": (
+        {"sp.json": _line(range(31)),
+         "w.json": {"scales": [8.0], "dims": [1],
+                    "families": [{"sets": [list(range(0, 16)), list(range(16, 31))]}]}},
+        ["apc", "normalize", "--space", "sp.json", "--witness", "w.json", "--gaps", "2,4"], 0),
 }
 
 

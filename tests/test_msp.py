@@ -24,7 +24,13 @@ from coarsekit import (
 )
 from coarsekit.coarse_maps import CoarseMap, group_quotient
 from coarsekit.covers import FamilyOfSets
-from coarsekit.generators import fold_map, path_space, rotation_action
+from coarsekit.generators import (
+    fold_map,
+    grid_rotation_action,
+    path_space,
+    reflection_action,
+    rotation_action,
+)
 
 
 def fam(sp, *sets):
@@ -202,6 +208,27 @@ class TestMspPullback:
         mu = uniform(f.domain)
         with pytest.raises(PreconditionError):
             msp_pullback(f, mu, 2.0, K=9.0, S=18.0, R_Y=1.0)
+
+    def test_R_Y_at_E_of_R_X_rejected(self):
+        f = fold_map(9)
+        mu = uniform(f.domain)
+        E = control_upper(f)
+        with pytest.raises(PreconditionError):
+            msp_pullback(f, mu, 2.0, K=9.0, S=18.0, R_Y=E(2.0))
+
+    @pytest.mark.parametrize("action", [reflection_action(12), rotation_action(12, 2),
+                                        grid_rotation_action(4, 4)])
+    @pytest.mark.parametrize("share", [0.5, 0.25])
+    def test_quotient_below_the_domain_diameter(self, action, share):
+        # the default R_Y lies above E(R_X): codomain sets exactly E(R_X) apart
+        # would have preimages closer than R_X, which strict components join
+        f = group_quotient(action).projection
+        mu = uniform(f.domain)
+        S = share * f.domain.diam()
+        out = msp_pullback(f, mu, 3.0, K=float(f.codomain.diam()), S=S)
+        assert out.mass >= 0.25 - 1e-12
+        assert out.family.max_diameter() <= S
+        out.verify(mu)
 
     def test_identity_trivial(self):
         sp = path_space(8)

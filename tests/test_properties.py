@@ -1,6 +1,9 @@
 """Randomized invariant checks for the core primitives."""
 
 import itertools
+import math
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from coarsekit import (
     hausdorff_distance,
     inner_neighborhood,
     is_r_disjoint,
+    lebesgue_number,
     make_disjoint,
     mesh,
     neighborhood,
@@ -187,3 +191,119 @@ def test_maximal_feasible_sets_match_pairwise_filter(sp, R, S):
     feas = [m for m in range(1, 1 << sp.n) if feasible(m)]
     reference = [m for m in feas if not any(m != o and m & o == m for o in feas)]
     assert _maximal_feasible_sets(sp, list(range(sp.n)), R, S) == reference
+
+
+# ---------------------------------------------------------------------------
+# The set-family kernels against the per-set loops they replaced.
+
+
+@st.composite
+def families(draw, *, cover=False):
+    """A small space with 1-5 sets: empty, whole-space and overlapping sets all
+    occur; with ``cover`` the uncovered points are added as one more set."""
+    sp = draw(small_spaces())
+    pts = st.integers(0, sp.n - 1)
+    sets = draw(st.lists(
+        st.one_of(st.just(frozenset()), st.just(frozenset(range(sp.n))), st.frozensets(pts)),
+        min_size=1, max_size=5))
+    if cover:
+        rest = frozenset(range(sp.n)).difference(*sets)
+        if rest:
+            sets.append(rest)
+    return FamilyOfSets(sp, tuple(sets))
+
+
+def _ref_dim_at_scale(F, R, closed):
+    mult = np.zeros(F.space.n, dtype=int)
+    for s in F.sets:
+        for i in neighborhood(Subset(F.space, s), R, closed=closed).members:
+            mult[i] += 1
+    return int(mult.max()) - 1 if any(F.sets) else -1
+
+
+def _ref_is_r_disjoint(F, R):
+    sets = [sorted(s) for s in F.sets]
+    for a in range(len(sets)):
+        for b in range(a + 1, len(sets)):
+            if not sets[a] or not sets[b]:
+                continue
+            block = F.space.dmat[np.ix_(sets[a], sets[b])]
+            if block.min() < R:
+                pa, pb = np.unravel_index(int(block.argmin()), block.shape)
+                return False, ((a, sets[a][pa]), (b, sets[b][pb]), float(block.min()))
+    return True, None
+
+
+def _ref_lebesgue_number(F):
+    allpts = set(range(F.space.n))
+    best = math.inf
+    for x in range(F.space.n):
+        per_point = 0.0
+        for s in F.sets:
+            if x in s:
+                outside = sorted(allpts - s)
+                if not outside:
+                    per_point = math.inf
+                    break
+                per_point = max(per_point, float(np.min(F.space.dmat[x, outside])))
+        best = min(best, per_point)
+    return best
+
+
+def _ref_disjointification(U, R, n):
+    """(margin sets, gap sets) by the per-point cut loop and the per-point W_T loop."""
+    sp, nsets = U.space, len(U.sets)
+    allpts = set(range(sp.n))
+    fvals = np.empty((nsets, sp.n))
+    for k, s in enumerate(U.sets):
+        outside = sorted(allpts - neighborhood(Subset(sp, s), R).members)
+        fvals[k] = np.min(sp.dmat[:, outside], axis=1) if outside else math.inf
+    gamma = R / (n + 1)
+    margin = {}
+    for x in range(sp.n):
+        col = fvals[:, x]
+        order = sorted(range(nsets), key=lambda s: (-col[s], s))
+        vals = [col[s] for s in order] + [0.0]
+        for cut in range(1, nsets + 1):
+            hi, lo = vals[cut - 1], vals[cut]
+            if hi == math.inf and lo < math.inf:
+                gap_ok = True
+            else:
+                gap_ok = (hi - lo) >= gamma if hi < math.inf else False
+            if gap_ok and hi > 0:
+                margin.setdefault(tuple(sorted(order[:cut])), set()).add(x)
+            if lo == 0.0:
+                break
+    gaps = {}
+    for T in margin:
+        members = []
+        for x in range(sp.n):
+            col = fvals[:, x]
+            rest = [col[s] for s in range(nsets) if s not in T]
+            if min(col[t] for t in T) > (max(rest) if rest else 0.0):
+                members.append(x)
+        gaps[T] = frozenset(members)
+    return {T: frozenset(m) for T, m in margin.items()}, gaps
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(), scales, st.booleans())
+def test_family_kernels_match_per_set_loops(F, R, closed):
+    assert dim_at_scale(F, R, closed=closed) == _ref_dim_at_scale(F, R, closed)
+    assert is_r_disjoint(F, R) == _ref_is_r_disjoint(F, R)
+    if F.covers_space():
+        assert lebesgue_number(F) == _ref_lebesgue_number(F)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(cover=True), st.integers(1, 12))
+def test_make_disjoint_matches_per_point_loops(U, Rint):
+    R = float(Rint)
+    n = dim_at_scale(U, R)
+    colored, trace = make_disjoint(U, R, n)
+    margin, gaps = _ref_disjointification(U, R, n)
+    assert trace.margin_sets == margin
+    assert trace.w_sets == gaps
+    order = sorted(margin, key=lambda T: (len(T), T))
+    assert colored.sets == tuple(margin[T] for T in order)
+    assert colored.colors == tuple(len(T) - 1 for T in order)
