@@ -86,6 +86,7 @@ from .trees import (
     PushforwardAudit,
     TreeReport,
     casdim_to_sfdc,
+    grow_level,
     is_partition_tree,
     partition_refine,
     tree_pullback,

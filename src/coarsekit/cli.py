@@ -133,6 +133,11 @@ class _Inputs:
         except (InputError, MetricError, TypeError, ValueError) as e:
             raise _UsageError(f"{path}: {e}")
 
+    def load_map(self):
+        """The map given by --map between the spaces of --domain and --codomain."""
+        dom, cod = self.load("domain", space_from_json), self.load("codomain", space_from_json)
+        return self.load("map", map_from_json, dom, cod)
+
 
 # ---------------------------------------------------------------- handlers
 
@@ -173,8 +178,7 @@ def _cmd_cover_lebesgue(inp, args):
 
 
 def _cmd_map_control(inp, args):
-    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
-    f = inp.load("map", map_from_json, dom, cod)
+    f = inp.load_map()
     ctl = n_to_1_control(f, args.n, c_cap=args.c_cap)
     return {
         "n": ctl.n,
@@ -185,8 +189,7 @@ def _cmd_map_control(inp, args):
 
 
 def _cmd_map_profile(inp, args):
-    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
-    f = inp.load("map", map_from_json, dom, cod)
+    f = inp.load_map()
     prof = n_to_1_profile(f, args.r, args.big_r)
     return {
         "max_components": prof.max_components,
@@ -197,9 +200,8 @@ def _cmd_map_profile(inp, args):
 
 
 def _cmd_map_push(inp, args):
-    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
-    f = inp.load("map", map_from_json, dom, cod)
-    cov = inp.load("cover", family_from_json, dom)
+    f = inp.load_map()
+    cov = inp.load("cover", family_from_json, f.domain)
     pushed = pushforward_cover(f, cov, args.r, args.n, args.control)
     m = dim_at_scale(cov, args.control(args.r), closed=args.control.expansion_closed())
     return {
@@ -211,8 +213,7 @@ def _cmd_map_push(inp, args):
 
 
 def _cmd_map_factor(inp, args):
-    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
-    f = inp.load("map", map_from_json, dom, cod)
+    f = inp.load_map()
     fac = factorize(f, args.big_r, args.n)
     return {
         "middle": space_to_json(fac.middle),
@@ -252,17 +253,15 @@ def _cmd_apc_normalize(inp, args):
 
 
 def _cmd_apc_push(inp, args):
-    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
-    f = inp.load("map", map_from_json, dom, cod)
-    w = inp.load("witness", witness_from_json, dom)
+    f = inp.load_map()
+    w = inp.load("witness", witness_from_json, f.domain)
     out = apc_pushforward(f, args.n, args.control, w, args.target_scales)
     return {"witness": witness_to_json(out)}
 
 
 def _cmd_apc_pull(inp, args):
-    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
-    f = inp.load("map", map_from_json, dom, cod)
-    w = inp.load("witness", witness_from_json, cod)
+    f = inp.load_map()
+    w = inp.load("witness", witness_from_json, f.codomain)
     out = apc_pullback(f, w, args.target_scales, args.bound)
     return {"witness": witness_to_json(out)}
 
@@ -301,9 +300,8 @@ def _cmd_tree_cover(inp, args):
 
 
 def _cmd_tree_push(inp, args):
-    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
-    f = inp.load("map", map_from_json, dom, cod)
-    t = inp.load("tree", tree_from_json, dom)
+    f = inp.load_map()
+    t = inp.load("tree", tree_from_json, f.domain)
     out, audit = tree_pushforward(f, t, args.n, args.control, args.target_scales)
     return {
         "tree": tree_to_json(out),
@@ -316,9 +314,8 @@ def _cmd_tree_push(inp, args):
 
 
 def _cmd_tree_pull(inp, args):
-    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
-    f = inp.load("map", map_from_json, dom, cod)
-    t = inp.load("tree", tree_from_json, cod)
+    f = inp.load_map()
+    t = inp.load("tree", tree_from_json, f.codomain)
     out = tree_pullback(
         f, t, args.n, args.control, args.target_scales,
         component_scale=args.component_scale,
@@ -334,13 +331,12 @@ def _cmd_msp_family(inp, args):
 
 
 def _cmd_msp_push(inp, args):
-    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
-    f = inp.load("map", map_from_json, dom, cod)
-    mu = inp.load("measure", measure_from_json, cod)
+    f = inp.load_map()
+    mu = inp.load("measure", measure_from_json, f.codomain)
     D = args.control
-    sel = tuple(min(f.fiber(y)) for y in range(cod.n))
+    sel = tuple(min(f.fiber(y)) for y in range(f.codomain.n))
     lam = transfer_measure_selection(f, mu, sel)
-    witness = half_mass_witness(dom, lam, D(args.n * args.big_r))
+    witness = half_mass_witness(f.domain, lam, D(args.n * args.big_r))
     if witness is None:
         raise Refusal("no half-mass witness exists at any diameter bound", proved=True)
     out = msp_pushforward(f, args.n, mu, args.big_r, witness, lam)
@@ -351,9 +347,8 @@ def _cmd_msp_push(inp, args):
 
 
 def _cmd_msp_pull(inp, args):
-    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
-    f = inp.load("map", map_from_json, dom, cod)
-    mu = inp.load("measure", measure_from_json, dom)
+    f = inp.load_map()
+    mu = inp.load("measure", measure_from_json, f.domain)
     out = msp_pullback(
         f, mu, args.big_r, K=args.big_k, S=args.big_s, R_Y=args.codomain_scale
     )
@@ -361,9 +356,8 @@ def _cmd_msp_pull(inp, args):
 
 
 def _cmd_msp_check(inp, args):
-    dom, cod = inp.load("domain", space_from_json), inp.load("codomain", space_from_json)
-    f = inp.load("map", map_from_json, dom, cod)
-    members = args.set if args.set is not None else frozenset(range(cod.n))
+    f = inp.load_map()
+    members = args.set if args.set is not None else frozenset(range(f.codomain.n))
     rep = map_msp_check(f, members, args.big_r, args.big_s, args.c, args.big_k)
     if rep["achievable"] is False:
         raise CertificateError("mass threshold not achievable", witness=_plain(rep))

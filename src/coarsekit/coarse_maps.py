@@ -437,32 +437,35 @@ def factorize(f: CoarseMap, R: float, n: Optional[int] = None) -> Factorization:
         )
     n = observed if n is None else n
     classes.sort(key=lambda yc: min(yc[1]))
-    class_of = {}
-    for k, (_, members) in enumerate(classes):
-        for x in members:
-            class_of[x] = k
-    zmat = np.zeros((len(classes), len(classes)))
-    subs = [Subset(Xadj, members) for _, members in classes]
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            zmat[a, b] = zmat[b, a] = hausdorff_distance(subs[a], subs[b])
-    Z = FiniteMetricSpace([f"c{k}" for k in range(len(classes))], zmat)
-    p = CoarseMap(Xadj, Z, tuple(class_of[x] for x in range(X.n)))
+    members = tuple(m for _, m in classes)
+    p = _hausdorff_quotient(Xadj, members, [f"c{k}" for k in range(len(classes))])
+    Z = p.codomain
     q = CoarseMap(Z, f.codomain, tuple(y for y, _ in classes))
     for x in range(X.n):
         if q(p(x)) != f(x):
             raise CertificateError("q∘p != f", witness=x)
-    diam_bound = max(diameter(s) for s in subs)
-    selection = tuple(min(members) for _, members in classes)
     return Factorization(
         p=p,
         middle=Z,
         q=q,
         adjusted_domain=Xadj,
-        classes=tuple(members for _, members in classes),
-        class_diam_bound=diam_bound,
-        selection=selection,
+        classes=members,
+        class_diam_bound=max(diameter(Subset(Xadj, m)) for m in members),
+        selection=tuple(min(m) for m in members),
     )
+
+
+def _hausdorff_quotient(space: FiniteMetricSpace, classes, labels) -> CoarseMap:
+    """Projection of space onto its classes (a partition, in the given order)
+    under the Hausdorff metric; class k carries labels[k]."""
+    subs = [Subset(space, c) for c in classes]
+    mat = np.zeros((len(subs), len(subs)))
+    for a in range(len(subs)):
+        for b in range(a + 1, len(subs)):
+            mat[a, b] = mat[b, a] = hausdorff_distance(subs[a], subs[b])
+    class_of = {x: k for k, c in enumerate(classes) for x in c}
+    quotient = FiniteMetricSpace(labels, mat)
+    return CoarseMap(space, quotient, tuple(class_of[x] for x in range(space.n)))
 
 
 @dataclass(frozen=True)
@@ -561,17 +564,9 @@ def group_quotient(action: GroupAction) -> GroupQuotient:
     sym = symmetrize_metric(action)
     sym_action = GroupAction(sym, action.table, action.perms)
     orbits = sorted(sym_action.orbits(), key=min)
-    qmat = np.zeros((len(orbits), len(orbits)))
-    subs = [Subset(sym, o) for o in orbits]
-    for a in range(len(orbits)):
-        for b in range(a + 1, len(orbits)):
-            qmat[a, b] = qmat[b, a] = hausdorff_distance(subs[a], subs[b])
-    Q = FiniteMetricSpace([f"o{min(o)}" for o in orbits], qmat)
-    orbit_of = {}
-    for k, o in enumerate(orbits):
-        for x in o:
-            orbit_of[x] = k
-    proj = CoarseMap(sym, Q, tuple(orbit_of[x] for x in range(sym.n)))
+    proj = _hausdorff_quotient(sym, orbits, [f"o{min(o)}" for o in orbits])
+    Q = proj.codomain
+    qmat = Q.dmat
     for x in range(sym.n):
         for y in range(sym.n):
             if qmat[proj(x), proj(y)] > sym.dmat[x, y]:

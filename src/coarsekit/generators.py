@@ -16,7 +16,7 @@ from .covers import FamilyOfSets, dim_at_scale
 from .coarse_maps import CoarseMap, GroupAction, group_quotient
 from .metric_core import FiniteMetricSpace, build_space
 from .msp import ProbMeasure
-from .trees import DecompositionTree
+from .trees import DecompositionTree, grow_level
 
 __all__ = [
     "path_space",
@@ -225,24 +225,13 @@ def random_casdim_tree(rng: random.Random, max_points: int = 128) -> Decompositi
     levels = [FamilyOfSets(sp, (frozenset(range(n)),))]
     splits = []
     branching = []
-    for li, R in enumerate(scales):
+    for R in scales:
         k = rng.randint(2, 3)
         branching.append(k)
-        next_sets = []
-        table = []
-        for s in levels[-1].sets:
-            pts = sorted(s)
-            subfams = _split_interval(rng, pts, k, R)
-            entry = []
-            for fam in subfams:
-                idxs = []
-                for piece in fam:
-                    next_sets.append(piece)
-                    idxs.append(len(next_sets) - 1)
-                entry.append(tuple(idxs))
-            table.append(tuple(entry))
-        levels.append(FamilyOfSets(sp, tuple(next_sets)))
-        splits.append(tuple(table))
+        level, table = grow_level(sp, [_split_interval(rng, sorted(s), k, R)
+                                       for s in levels[-1].sets])
+        levels.append(level)
+        splits.append(table)
     term = max(len(s) - 1 for s in levels[-1].sets)
     return DecompositionTree(
         sp,

@@ -49,6 +49,7 @@ from .msp import (
 from .trees import (
     DecompositionTree,
     casdim_to_sfdc,
+    grow_level,
     partition_refine,
     tree_pullback,
     tree_pushforward,
@@ -260,24 +261,11 @@ def _partition_tree_for_pushforward(f, n, D, R1: float):
     need = D(n * 2 * R1)
     pts = list(range(X.n))
     sets = [c.members for c in r_components(Subset(X, frozenset(pts)), need)]
-    subfams = [[], []]
-    for k, s in enumerate(sets):
-        subfams[k % 2].append(s)
-    ordered = []
-    entry = []
-    for fam in subfams:
-        idxs = []
-        for s in fam:
-            ordered.append(s)
-            idxs.append(len(ordered) - 1)
-        if idxs:
-            entry.append(tuple(idxs))
-    term = max(diameter(Subset(X, s)) for s in ordered)
+    V2, table = grow_level(X, [[sets[0::2], sets[1::2]]])
+    term = max(diameter(Subset(X, s)) for s in V2.sets)
     V1 = FamilyOfSets(X, (frozenset(pts),))
-    V2 = FamilyOfSets(X, tuple(ordered))
     return DecompositionTree(
-        X, (V1, V2), (need,), (2,), ((tuple(entry),),), terminal_mesh=term,
-        union_mode="equal",
+        X, (V1, V2), (need,), (2,), (table,), terminal_mesh=term, union_mode="equal",
     )
 
 

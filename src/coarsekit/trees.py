@@ -4,12 +4,15 @@ conversion, unfolding into colored covers, and transfer along maps.
 A tree stores levels V_1..V_d of set families, per-level scales and branching
 bounds, and a split map assigning each set of level i its subfamilies in level
 i+1.  Two union modes exist: "equal" requires each set to be exactly the union
-of its subfamilies, "contains" only requires containment.
+of its subfamilies, "contains" only requires containment.  Every construction
+grows its levels through ``grow_level``, which numbers the new sets parent by
+parent, then subfamily by subfamily.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Optional, Sequence
 
 from .controls import as_control
@@ -22,6 +25,7 @@ __all__ = [
     "DecompositionTree",
     "TreeReport",
     "verify_tree",
+    "grow_level",
     "partition_refine",
     "casdim_to_sfdc",
     "tree_to_cover",
@@ -57,6 +61,12 @@ class DecompositionTree:
             raise InputError("need one split table per non-final level")
         if self.union_mode not in ("equal", "contains"):
             raise InputError(f"unknown union mode {self.union_mode!r}")
+        for r in self.scales:
+            if isinstance(r, bool) or not isinstance(r, Real):
+                raise InputError(f"tree scale {r!r} is not a number")
+        for b in self.branching:
+            if not _is_int(b):
+                raise InputError(f"branching bound {b!r} is not an integer")
         for i, (lvl, table) in enumerate(zip(self.levels, self.splits)):
             if lvl.space is not self.space:
                 raise InputError(f"level {i + 1} lives on a different space")
@@ -66,10 +76,10 @@ class DecompositionTree:
             for k, subfams in enumerate(table):
                 for sub in subfams:
                     for idx in sub:
-                        if not (0 <= idx < nxt):
+                        if not _is_int(idx) or not (0 <= idx < nxt):
                             raise InputError(
                                 f"split of set {k} at level {i + 1} references "
-                                f"set {idx} outside level {i + 2}"
+                                f"set {idx!r} outside level {i + 2}"
                             )
         if self.levels[-1].space is not self.space:
             raise InputError("final level lives on a different space")
@@ -81,6 +91,10 @@ class DecompositionTree:
     def children_of(self, level: int, k: int):
         """Subfamilies (as tuples of indices into level+1) of set k at 1-based level."""
         return self.splits[level - 1][k]
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -159,6 +173,25 @@ def is_partition_tree(t: DecompositionTree) -> bool:
     return True
 
 
+def grow_level(space: FiniteMetricSpace, children):
+    """Number the children of a level's sets into the next level.
+
+    ``children[k]`` lists the subfamilies of parent set k, each a sequence of
+    sets.  Sets are numbered parent by parent, then subfamily by subfamily;
+    empty subfamilies are dropped.  Returns (the next level, its split table).
+    """
+    sets: list = []
+    table = []
+    for subfams in children:
+        entry = []
+        for sub in subfams:
+            if len(sub):
+                entry.append(tuple(range(len(sets), len(sets) + len(sub))))
+                sets.extend(sub)
+        table.append(tuple(entry))
+    return FamilyOfSets(space, tuple(sets)), tuple(table)
+
+
 def partition_refine(t: DecompositionTree) -> DecompositionTree:
     """Make every level a partition by ordered subtraction inside each parent.
 
@@ -174,16 +207,13 @@ def partition_refine(t: DecompositionTree) -> DecompositionTree:
     carry = [0]
     for i in range(1, t.depth):
         nxt = t.levels[i]
-        next_sets: list[frozenset] = []
         next_carry: list[int] = []
-        table = []
+        children = []
         for k, parent in enumerate(new_levels[i - 1].sets):
-            orig_k = carry[k]
-            subfams = t.children_of(i, orig_k)
             taken: set = set()
-            my_subfams = []
-            for sub in subfams:
-                out_sub = []
+            subfams = []
+            for sub in t.children_of(i, carry[k]):
+                pieces = []
                 for j in sub:
                     piece = (nxt.sets[j] & parent) - taken
                     if not piece:
@@ -191,18 +221,17 @@ def partition_refine(t: DecompositionTree) -> DecompositionTree:
                     taken |= piece
                     if not piece <= nxt.sets[j]:
                         raise CertificateError("refined set escapes its original")
-                    next_sets.append(piece)
+                    pieces.append(piece)
                     next_carry.append(j)
-                    out_sub.append(len(next_sets) - 1)
-                if out_sub:
-                    my_subfams.append(tuple(out_sub))
+                subfams.append(pieces)
             if frozenset(taken) != parent:
                 raise CertificateError(
                     "refinement failed to partition a parent", witness=sorted(parent - taken)
                 )
-            table.append(tuple(my_subfams))
-        new_levels.append(FamilyOfSets(t.space, tuple(next_sets)))
-        new_splits.append(tuple(table))
+            children.append(subfams)
+        level, table = grow_level(t.space, children)
+        new_levels.append(level)
+        new_splits.append(table)
         carry = next_carry
     out = DecompositionTree(
         t.space,
@@ -224,10 +253,13 @@ def partition_refine(t: DecompositionTree) -> DecompositionTree:
 def casdim_to_sfdc(t: DecompositionTree) -> DecompositionTree:
     """Expand each level of branching n_i into n_i binary peel levels.
 
-    Peel step m exposes subfamily W_m and keeps the union of the remaining
-    subfamilies as a single remainder set (a one-element family is vacuously
-    disjoint); already-exposed sets pass through unchanged.  Depth becomes
-    1 + sum of the n_i and the result verifies in sfdc mode.
+    Each current set carries one tag: its index in t's next level once it is
+    exposed, or else the tuple of its subfamilies still to expose.  A peel
+    step exposes a pending set's first subfamily and keeps the union of the
+    rest, when nonempty, as one remainder set (a one-element family is
+    vacuously disjoint) tagged with the rest; exposed sets pass through
+    unchanged.  Depth becomes 1 + sum of the n_i and the result verifies in
+    sfdc mode.
     """
     _require_valid(t, "casdim")
     if t.union_mode != "equal":
@@ -237,51 +269,36 @@ def casdim_to_sfdc(t: DecompositionTree) -> DecompositionTree:
     out_scales: list[float] = []
     out_branching: list[int] = []
     out_splits: list[tuple] = []
-
-    # state per current set: ("orig", level, k) original set of t at 1-based level,
-    # or ("rem", level, k, m) remainder of parent k at level after peeling m subfamilies
-    state = [("orig", 1, 0)]
+    exposed = [0]  # indices of the current sets in t's level i
     for i in range(1, t.depth):
-        R = t.scales[i - 1]
-        n_i = t.branching[i - 1]
-        for m in range(1, n_i + 1):
-            next_sets: list[frozenset] = []
-            next_state: list[tuple] = []
-            table = []
-            cur = out_levels[-1]
-            for k, s in enumerate(cur.sets):
-                st = state[k]
-                subfams_out = []
-                if st[0] == "orig" and st[1] == i and m == 1:
-                    subfams = t.children_of(i, st[2])
-                    peeled, rest = _peel(subfams, 0)
-                    subfams_out = _emit(
-                        space, peeled, rest, i, st[2], 1, next_sets, next_state, t
-                    )
-                elif st[0] == "rem" and st[1] == i:
-                    subfams = t.children_of(i, st[2])
-                    peeled, rest = _peel(subfams, st[3])
-                    subfams_out = _emit(
-                        space, peeled, rest, i, st[2], st[3] + 1, next_sets, next_state, t
-                    )
-                else:
-                    # pass-through: the set is already an exposed level-(i+1) set
-                    next_sets.append(s)
-                    next_state.append(st)
-                    subfams_out = [(len(next_sets) - 1,)]
-                table.append(tuple(subfams_out))
-            out_levels.append(FamilyOfSets(space, tuple(next_sets)))
-            out_scales.append(R)
+        nxt = t.levels[i]
+        tags = [tuple(t.children_of(i, j)) for j in exposed]
+        for _ in range(t.branching[i - 1]):
+            next_tags: list = []
+            children = []
+            for s, tag in zip(out_levels[-1].sets, tags):
+                if not isinstance(tag, tuple):
+                    children.append([[s]])
+                    next_tags.append(tag)
+                    continue
+                subfams = []
+                if tag:
+                    subfams.append([nxt.sets[j] for j in tag[0]])
+                    next_tags.extend(tag[0])
+                    rem = frozenset().union(*(nxt.sets[j] for sub in tag[1:] for j in sub))
+                    if rem:
+                        subfams.append([rem])
+                        next_tags.append(tag[1:])
+                children.append(subfams)
+            level, table = grow_level(space, children)
+            out_levels.append(level)
+            out_scales.append(t.scales[i - 1])
             out_branching.append(2)
-            out_splits.append(tuple(table))
-            state = next_state
-        new_state = []
-        for st in state:
-            if st[0] == "exposed":
-                new_state.append(("orig", i + 1, st[1]))
-            else:
-                raise CertificateError("peeling left an unexposed remainder")
-        state = new_state
+            out_splits.append(table)
+            tags = next_tags
+        if any(isinstance(tag, tuple) for tag in tags):
+            raise CertificateError("peeling left an unexposed remainder")
+        exposed = tags
     out = DecompositionTree(
         space,
         tuple(out_levels),
@@ -295,36 +312,6 @@ def casdim_to_sfdc(t: DecompositionTree) -> DecompositionTree:
     if not rep.ok:
         raise CertificateError(f"converted tree invalid in sfdc mode: {rep.violations[:3]}")
     return out
-
-
-def _peel(subfams, done):
-    """Return (subfamily to expose now, remaining subfamilies) after `done` peels."""
-    rest = subfams[done:]
-    if not rest:
-        return (), ()
-    return rest[0], rest[1:]
-
-
-def _emit(space, peeled, rest, level, orig_k, done, next_sets, next_state, t):
-    nxt = t.levels[level]
-    subfams_out = []
-    if peeled:
-        sub = []
-        for j in peeled:
-            next_sets.append(nxt.sets[j])
-            next_state.append(("exposed", j))
-            sub.append(len(next_sets) - 1)
-        subfams_out.append(tuple(sub))
-    if rest:
-        rem = frozenset()
-        for sub2 in rest:
-            for j in sub2:
-                rem |= nxt.sets[j]
-        if rem:
-            next_sets.append(rem)
-            next_state.append(("rem", level, orig_k, done))
-            subfams_out.append((len(next_sets) - 1,))
-    return subfams_out
 
 
 def tree_to_cover(t: DecompositionTree, R: float) -> FamilyOfSets:
@@ -406,54 +393,39 @@ def tree_pullback(
     Rc = float(component_scale) if component_scale is not None else (scales[-1] if scales else 0.0)
     X = f.domain
     new_levels = []
-    index_maps = []  # per level: new index -> old index (None for dropped empties)
+    kept = []  # per level: the input index of each nonempty preimage, in order
     for lvl in t.levels:
-        sets = []
-        imap = {}
-        for j, s in enumerate(lvl.sets):
-            pre = f.preimage(s)
-            if pre:
-                imap[j] = len(sets)
-                sets.append(pre)
-        new_levels.append(FamilyOfSets(X, tuple(sets)))
-        index_maps.append(imap)
+        pres = [f.preimage(s) for s in lvl.sets]
+        kept.append([j for j, pre in enumerate(pres) if pre])
+        new_levels.append(FamilyOfSets(X, tuple(pres[j] for j in kept[-1])))
     new_splits = []
     for i in range(1, t.depth):
+        new_of = {j: q for q, j in enumerate(kept[i])}
         table = []
-        imap_cur, imap_nxt = index_maps[i - 1], index_maps[i]
-        inv_cur = {v: k for k, v in imap_cur.items()}
-        for k in range(len(new_levels[i - 1].sets)):
-            subfams = []
-            for sub in t.children_of(i, inv_cur[k]):
-                kept = tuple(imap_nxt[j] for j in sub if j in imap_nxt)
-                if kept:
-                    subfams.append(kept)
-            table.append(tuple(subfams))
+        for old in kept[i - 1]:
+            subs = (tuple(new_of[j] for j in sub if j in new_of) for sub in t.children_of(i, old))
+            table.append(tuple(sub for sub in subs if sub))
         new_splits.append(tuple(table))
     # extra level: chain components of the terminal preimages
     bound = n * D(t.levels[-1].max_diameter()) + (n - 1) * Rc
-    last = new_levels[-1]
-    final_sets = []
-    table = []
-    for s in last.sets:
+    children = []
+    for s in new_levels[-1].sets:
         comps = r_components(Subset(X, s), Rc)
         if len(comps) > n:
             raise CertificateError(
                 f"a terminal preimage has {len(comps)} components > n={n}",
                 witness=sorted(s),
             )
-        idxs = []
         for c in comps:
             if diameter(c) > bound:
                 raise CertificateError(
                     f"component diameter {diameter(c)} exceeds {bound}",
                     witness=sorted(c.members),
                 )
-            final_sets.append(c.members)
-            idxs.append(len(final_sets) - 1)
-        table.append((tuple(idxs),))
-    new_levels.append(FamilyOfSets(X, tuple(final_sets)))
-    new_splits.append(tuple(table))
+        children.append([[c.members for c in comps]])
+    level, table = grow_level(X, children)
+    new_levels.append(level)
+    new_splits.append(table)
     out = DecompositionTree(
         X,
         tuple(new_levels),
@@ -535,20 +507,18 @@ def tree_pushforward(
         R_i = scales[i - 1]
         r = n * n_i * R_i
         L_next = L + r
-        next_sets: list[frozenset] = []
         next_backing: list[int] = []
-        table = []
-        for k, V in enumerate(out_levels[i - 1].sets):
-            U_idx = backing[k]
+        children = []
+        for k, U_idx in enumerate(backing):
             U = t.levels[i - 1].sets[U_idx]
-            children = [j for sub in t.children_of(i, U_idx) for j in sub]
-            children = [j for j in children if t.levels[i].sets[j]]
+            child_ids = [j for sub in t.children_of(i, U_idx) for j in sub]
+            child_ids = [j for j in child_ids if t.levels[i].sets[j]]
             fU = Subset(Y, f.image_set(U))
             zone = neighborhood(fU, L) if L > 0 else fU
             sub_space, old_of_new = Y.subspace(zone.members)
             new_of_old = {o: q for q, o in enumerate(old_of_new)}
             expanded = []
-            for j in children:
+            for j in child_ids:
                 img = Subset(Y, f.image_set(t.levels[i].sets[j]))
                 exp = neighborhood(img, L) if L > 0 else img
                 expanded.append(frozenset(new_of_old[y] for y in exp.members & zone.members))
@@ -559,26 +529,26 @@ def tree_pushforward(
                     witness=(i, k),
                 )
             colored, trace = make_disjoint(fam, r, n * n_i - 1)
+            # sorted by size, so the subfamilies (colour = size - 1) come in order
             tuples = sorted(trace.margin_sets, key=lambda tp: (len(tp), tp))
             subfams: dict[int, list] = {}
             for T in tuples:
                 members = trace.margin_sets[T]
                 lifted = frozenset(old_of_new[q] for q in members)
-                anchor = children[T[0]]
+                anchor = child_ids[T[0]]
                 img = Subset(Y, f.image_set(t.levels[i].sets[anchor]))
                 allowed = neighborhood(img, L_next).members
                 if not lifted <= allowed:
                     raise CertificateError(
                         "containment audit failed", witness=(i + 1, sorted(lifted))
                     )
-                next_sets.append(lifted)
+                subfams.setdefault(len(T) - 1, []).append(lifted)
                 next_backing.append(anchor)
-                color = len(T) - 1
-                subfams.setdefault(color, []).append(len(next_sets) - 1)
-                containments.append((i + 1, len(next_sets) - 1, anchor, L_next))
-            table.append(tuple(tuple(v) for c, v in sorted(subfams.items())))
-        out_levels.append(FamilyOfSets(Y, tuple(next_sets)))
-        out_splits.append(tuple(table))
+            children.append(list(subfams.values()))
+        level, table = grow_level(Y, children)
+        out_levels.append(level)
+        out_splits.append(table)
+        containments.extend((i + 1, k, anchor, L_next) for k, anchor in enumerate(next_backing))
         backing = next_backing
         L = L_next
     b = t.levels[depth - 1].max_diameter()

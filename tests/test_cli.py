@@ -247,6 +247,22 @@ class TestTreeCommands:
         assert code == 0
         assert report["result"]["family"]["n_colors"] == 2
 
+    @pytest.mark.parametrize("command", [
+        ["convert"], ["verify", "--mode", "casdim"], ["cover", "--scale", "2"], ["refine"]],
+        ids=lambda c: c[0])
+    @pytest.mark.parametrize("field, value", [
+        ("scales", ["2.0"]), ("scales", [None]), ("scales", [True]),
+        ("branching", [2.5]), ("splits", [[[[0, 1.0], [2]]]])],
+        ids=["string-scale", "null-scale", "bool-scale", "float-branching", "float-index"])
+    def test_malformed_tree_is_usage_error(self, capsys, tmp_path, path16, command, field, value):
+        t = write(tmp_path, "t.json", {**self.tree_obj(2.0), field: value})
+        code, report, err = run(
+            capsys, ["tree", command[0], "--space", path16, "--tree", t, *command[1:]]
+        )
+        assert code == 2
+        assert report is None
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestMspCommands:
     @pytest.fixture

@@ -10,7 +10,10 @@ depth-first witness search with its refusal residue (``apc witness``), and
 the set-family kernels: multiplicity (``cover dim``, open and closed),
 Lebesgue number, disjointification (``cover disjointify``, ``apc
 normalize``), R-disjointness with its witness (``tree verify``) and the
-unfolded tree cover (``tree cover``).
+unfolded tree cover (``tree cover``).  Further cases pin the tree
+constructions (``tree refine`` on a ``contains``-mode tree, ``tree convert``
+with branching 3, ``tree push``, ``tree pull``) and the transfers along maps
+(``quotient``, ``apc push``, ``apc pull``, ``msp pull``).
 
 To record the files again after an intended report change, run this module
 as a script: ``PYTHONPATH=src python tests/test_golden_reports.py``.
@@ -59,6 +62,7 @@ _BLOCKS6 = [[6 * x + y for x in xs for y in ys]
 # the 2x2 blocks of the 6x6 grid, a partition
 _QUADS6 = [[6 * x + y for x in (i, i + 1) for y in (j, j + 1)]
            for i in range(0, 6, 2) for j in range(0, 6, 2)]
+_LINEAR1 = '{"type": "linear", "a": 1.0}'
 _TREE16 = {
     "levels": [{"sets": [list(range(16))]},
                {"sets": [list(range(0, 7)), list(range(9, 16)), [7, 8]]}],
@@ -118,6 +122,65 @@ CASES = {
          "w.json": {"scales": [8.0], "dims": [1],
                     "families": [{"sets": [list(range(0, 16)), list(range(16, 31))]}]}},
         ["apc", "normalize", "--space", "sp.json", "--witness", "w.json", "--gaps", "2,4"], 0),
+    "tree-refine-contains": (
+        # overlapping children that reach past their parents; one refined
+        # subfamily comes out empty and is dropped
+        {"sp.json": _line(range(12)),
+         "tree.json": {"levels": [{"sets": [list(range(12))]},
+                                  {"sets": [list(range(0, 7)), list(range(5, 12))]},
+                                  {"sets": [[0, 1, 2], [6, 7, 8], [3, 4, 5], [9, 10, 11]]}],
+                       "scales": [3.0, 2.0], "branching": [2, 3],
+                       "splits": [[[[0], [1]]], [[[0, 1], [2]], [[3], [1], [2]]]],
+                       "terminal_mesh": 2.0, "union_mode": "contains"}},
+        ["tree", "refine", "--space", "sp.json", "--tree", "tree.json"], 0),
+    "tree-convert-branching3": (
+        # int scales stay ints in the report
+        {"sp.json": _line(range(21)),
+         "tree.json": {"levels": [{"sets": [list(range(21))]},
+                                  {"sets": [list(range(0, 7)), list(range(14, 21)),
+                                            list(range(7, 11)), list(range(11, 14))]},
+                                  {"sets": [[0, 1], [5, 6], [2, 3, 4], list(range(14, 21)),
+                                            [7, 8], [9, 10], [11, 12, 13]]}],
+                       "scales": [2, 1], "branching": [3, 2],
+                       "splits": [[[[0, 1], [2], [3]]],
+                                  [[[0, 1], [2]], [[3]], [[4], [5]], [[6]]]],
+                       "terminal_mesh": 6.0, "union_mode": "equal"}},
+        ["tree", "convert", "--space", "sp.json", "--tree", "tree.json"], 0),
+    "tree-push": (
+        {**_fold(range(-10, 11)),
+         "tree.json": {"levels": [{"sets": [list(range(21))]},
+                                  {"sets": [list(range(0, 5)), list(range(10, 15)),
+                                            list(range(5, 10)), list(range(15, 21))]}],
+                       "scales": [4.0], "branching": [2], "splits": [[[[0, 1], [2, 3]]]],
+                       "terminal_mesh": 5.0, "union_mode": "equal"}},
+        ["tree", "push", *_MAP, "--tree", "tree.json", "--n", "2",
+         "--control", _LINEAR1, "--target-scales", "1"], 0),
+    "tree-pull": (
+        {**_fold(range(-15, 16)), "tree.json": {**_TREE16, "scales": [2.0]}},
+        ["tree", "pull", *_MAP, "--tree", "tree.json", "--n", "2",
+         "--control", _LINEAR1, "--target-scales", "2"], 0),
+    "quotient": (
+        # the reflection of two far-apart blocks
+        {"sp.json": _line([0, 1, 2, 3, 40, 41, 42, 43]),
+         "act.json": {"table": [[0, 1], [1, 0]], "perms": [list(range(8)), list(range(7, -1, -1))]}},
+        ["quotient", "--space", "sp.json", "--action", "act.json"], 0),
+    "apc-push": (
+        # values -20..-11 with 11..20, and -10..10
+        {**_fold(range(-20, 21)),
+         "w.json": {"scales": [1.0],
+                    "families": [{"sets": [list(range(0, 10)) + list(range(31, 41)),
+                                           list(range(10, 31))]}]}},
+        ["apc", "push", *_MAP, "--witness", "w.json", "--n", "2",
+         "--control", _LINEAR1, "--target-scales", "0.5,0.5"], 0),
+    "apc-pull": (
+        {**_fold(range(-9, 10)),
+         "w.json": {"scales": [1.0, 2.0],
+                    "families": [{"sets": [[0, 1], [5, 6]]}, {"sets": [[2, 3, 4], [7, 8, 9]]}]}},
+        ["apc", "pull", *_MAP, "--witness", "w.json", "--target-scales", "1,2", "--bound", "2"], 0),
+    "msp-pull": (
+        {**_fold(range(-9, 10)), "mu.json": {"weights": [1 + i % 3 for i in range(19)]}},
+        ["msp", "pull", *_MAP, "--measure", "mu.json",
+         "--big-r", "1", "--big-k", "9", "--big-s", "6"], 0),
 }
 
 

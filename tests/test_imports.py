@@ -1,8 +1,11 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private module-level function or class is used somewhere in the package.
 
-``__init__.py`` is skipped: its imports are the package's re-exports.  A name
-counts as used when it is read anywhere in the module, listed in ``__all__``,
-or mentioned in a string annotation.
+For imports, ``__init__.py`` is skipped: its imports are the package's
+re-exports.  A name counts as used when it is read anywhere in the module,
+listed in ``__all__``, or mentioned in a string annotation.  A private
+definition counts as used when a top-level statement other than itself, in
+any module of the package, reads it.
 """
 
 import ast
@@ -63,3 +66,24 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items()
                     if name not in used)
     assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
+
+
+def _reads(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_no_unused_private_definitions():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    reads = [(node, set(_reads(node))) for tree in trees.values() for node in tree.body]
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and not any(node.name in names for other, names in reads if other is not node)):
+                unused.append(f"{name}:{node.lineno} {node.name}")
+    assert not unused, f"private definitions nothing reads: {', '.join(unused)}"

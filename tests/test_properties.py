@@ -9,9 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsekit import (
+    CertificateError,
+    DecompositionTree,
     FamilyOfSets,
+    PreconditionError,
     Subset,
     build_space,
+    casdim_to_sfdc,
     components,
     diameter,
     dim_at_scale,
@@ -22,10 +26,14 @@ from coarsekit import (
     make_disjoint,
     mesh,
     neighborhood,
+    partition_refine,
     r_components,
+    verify_tree,
 )
 from coarsekit.coarse_maps import _component_relaxation, min_max_diameter_partition
 from coarsekit.msp import _feasibility, _maximal_feasible_sets
+from coarsekit.serialization import tree_to_json
+from coarsekit.trees import _require_valid
 
 
 @st.composite
@@ -307,3 +315,145 @@ def test_make_disjoint_matches_per_point_loops(U, Rint):
     order = sorted(margin, key=lambda T: (len(T), T))
     assert colored.sets == tuple(margin[T] for T in order)
     assert colored.colors == tuple(len(T) - 1 for T in order)
+
+
+# ---------------------------------------------------------------------------
+# The binary conversion against the peel state machine it replaced.
+
+
+@st.composite
+def decomposition_trees(draw):
+    """A tree on a path of 1-12 points.  Each set's points are dealt into up to
+    four blocks and the blocks into up to three subfamilies, so empty sets and
+    empty subfamilies occur; the next level is stored in a shuffled order; the
+    branching bound runs from one below to two above the largest subfamily
+    count; ``contains``-mode blocks may reach past their parent.  Scales up to
+    2 make some trees invalid, and both conversions must then refuse alike."""
+    n = draw(st.integers(1, 12))
+    sp = build_space({"kind": "cloud", "coords": [[i] for i in range(n)]})
+    mode = draw(st.sampled_from(["equal", "contains"]))
+    levels, scales, branching, splits = [(frozenset(range(n)),)], [], [], []
+    for _ in range(draw(st.integers(0, 3))):
+        blocks, parts = [], []
+        for parent in levels[-1]:
+            nblocks = draw(st.integers(1, 4))
+            ids = draw(st.lists(st.integers(0, nblocks - 1), min_size=len(parent),
+                                max_size=len(parent)))
+            nsub = draw(st.integers(1, 3))
+            subs = [[] for _ in range(nsub)]
+            for b in range(nblocks):
+                block = frozenset(x for x, i in zip(sorted(parent), ids) if i == b)
+                if mode == "contains":
+                    block |= draw(st.frozensets(st.integers(0, n - 1), max_size=1))
+                subs[draw(st.integers(0, nsub - 1))].append(len(blocks))
+                blocks.append(block)
+            parts.append(subs)
+        order = draw(st.permutations(range(len(blocks))))
+        slot = {old: new for new, old in enumerate(order)}
+        levels.append(tuple(blocks[old] for old in order))
+        splits.append(tuple(tuple(tuple(slot[j] for j in sub) for sub in subs)
+                            for subs in parts))
+        widest = max(len(subs) for subs in parts)
+        branching.append(max(1, widest + draw(st.sampled_from([-1, 0, 0, 1, 2]))))
+        scales.append(draw(st.sampled_from([0.5, 1, 1.0, 2.0])))
+    return DecompositionTree(
+        sp, tuple(FamilyOfSets(sp, lvl) for lvl in levels), tuple(scales),
+        tuple(branching), tuple(splits),
+        terminal_mesh=draw(st.sampled_from([1.0, 3.0, math.inf, math.inf])), union_mode=mode)
+
+
+def _ref_casdim_to_sfdc(t):
+    """The binary conversion with ("orig" | "rem" | "exposed") state per set."""
+    _require_valid(t, "casdim")
+    if t.union_mode != "equal":
+        raise PreconditionError("conversion needs union mode 'equal'; refine first")
+    space = t.space
+    out_levels = [t.levels[0]]
+    out_scales, out_branching, out_splits = [], [], []
+    state = [("orig", 1, 0)]
+    for i in range(1, t.depth):
+        R = t.scales[i - 1]
+        n_i = t.branching[i - 1]
+        for m in range(1, n_i + 1):
+            next_sets, next_state, table = [], [], []
+            for k, s in enumerate(out_levels[-1].sets):
+                st_ = state[k]
+                if st_[0] == "orig" and st_[1] == i and m == 1:
+                    peeled, rest = _ref_peel(t.children_of(i, st_[2]), 0)
+                    subfams_out = _ref_emit(peeled, rest, i, st_[2], 1, next_sets, next_state, t)
+                elif st_[0] == "rem" and st_[1] == i:
+                    peeled, rest = _ref_peel(t.children_of(i, st_[2]), st_[3])
+                    subfams_out = _ref_emit(
+                        peeled, rest, i, st_[2], st_[3] + 1, next_sets, next_state, t)
+                else:
+                    next_sets.append(s)
+                    next_state.append(st_)
+                    subfams_out = [(len(next_sets) - 1,)]
+                table.append(tuple(subfams_out))
+            out_levels.append(FamilyOfSets(space, tuple(next_sets)))
+            out_scales.append(R)
+            out_branching.append(2)
+            out_splits.append(tuple(table))
+            state = next_state
+        new_state = []
+        for st_ in state:
+            if st_[0] == "exposed":
+                new_state.append(("orig", i + 1, st_[1]))
+            else:
+                raise CertificateError("peeling left an unexposed remainder")
+        state = new_state
+    out = DecompositionTree(space, tuple(out_levels), tuple(out_scales),
+                            tuple(out_branching), tuple(out_splits), t.terminal_mesh,
+                            union_mode="equal")
+    rep = verify_tree(out, "sfdc")
+    if not rep.ok:
+        raise CertificateError(f"converted tree invalid in sfdc mode: {rep.violations[:3]}")
+    return out
+
+
+def _ref_peel(subfams, done):
+    rest = subfams[done:]
+    if not rest:
+        return (), ()
+    return rest[0], rest[1:]
+
+
+def _ref_emit(peeled, rest, level, orig_k, done, next_sets, next_state, t):
+    nxt = t.levels[level]
+    subfams_out = []
+    if peeled:
+        sub = []
+        for j in peeled:
+            next_sets.append(nxt.sets[j])
+            next_state.append(("exposed", j))
+            sub.append(len(next_sets) - 1)
+        subfams_out.append(tuple(sub))
+    if rest:
+        rem = frozenset()
+        for sub2 in rest:
+            for j in sub2:
+                rem |= nxt.sets[j]
+        if rem:
+            next_sets.append(rem)
+            next_state.append(("rem", level, orig_k, done))
+            subfams_out.append((len(next_sets) - 1,))
+    return subfams_out
+
+
+def _outcome(convert, t):
+    """("ok", the tree as JSON) or (error type, message)."""
+    try:
+        return "ok", tree_to_json(convert(t))
+    except (CertificateError, PreconditionError) as e:
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(decomposition_trees())
+def test_casdim_to_sfdc_matches_peel_reference(t):
+    assert _outcome(casdim_to_sfdc, t) == _outcome(_ref_casdim_to_sfdc, t)
+    try:
+        refined = partition_refine(t)
+    except PreconditionError:
+        return
+    assert _outcome(casdim_to_sfdc, refined) == _outcome(_ref_casdim_to_sfdc, refined)
