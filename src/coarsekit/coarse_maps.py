@@ -376,7 +376,11 @@ def pushforward_cover(f: CoarseMap, U: FamilyOfSets, r: float, n: int, C) -> Fam
     sets = tuple(
         frozenset(new_of_old[y] for y in f.image_set(s)) for s in U.sets if s
     )
-    out = FamilyOfSets(img_space, sets)
+    return _check_image_dim(U, FamilyOfSets(img_space, sets), r, n, C)
+
+
+def _check_image_dim(U: FamilyOfSets, out: FamilyOfSets, r: float, n: int, C) -> FamilyOfSets:
+    """pushforward_cover's certificate: dim_r(out) <= (dim_{C(r)}(U) + 1) * n - 1."""
     closed = C.expansion_closed() if hasattr(C, "expansion_closed") else True
     m = dim_at_scale(U, C(r), closed=closed)
     bound = (m + 1) * n - 1
@@ -441,9 +445,7 @@ def factorize(f: CoarseMap, R: float, n: Optional[int] = None) -> Factorization:
     p = _hausdorff_quotient(Xadj, members, [f"c{k}" for k in range(len(classes))])
     Z = p.codomain
     q = CoarseMap(Z, f.codomain, tuple(y for y, _ in classes))
-    for x in range(X.n):
-        if q(p(x)) != f(x):
-            raise CertificateError("q∘p != f", witness=x)
+    _check_factors(f, p, q)
     return Factorization(
         p=p,
         middle=Z,
@@ -453,6 +455,13 @@ def factorize(f: CoarseMap, R: float, n: Optional[int] = None) -> Factorization:
         class_diam_bound=max(diameter(Subset(Xadj, m)) for m in members),
         selection=tuple(min(m) for m in members),
     )
+
+
+def _check_factors(f: CoarseMap, p: CoarseMap, q: CoarseMap):
+    """factorize's certificate: q∘p = f at every point."""
+    bad = [x for x in range(f.domain.n) if q(p(x)) != f(x)]
+    if bad:
+        raise CertificateError("q∘p != f", witness=bad[0])
 
 
 def _hausdorff_quotient(space: FiniteMetricSpace, classes, labels) -> CoarseMap:
@@ -540,12 +549,16 @@ def symmetrize_metric(action: GroupAction) -> FiniteMetricSpace:
     for p in action.perms:
         perm = np.asarray(p)
         d += sp.dmat[np.ix_(perm, perm)]
-    out = FiniteMetricSpace(sp.labels, d, validate=False)
-    for p in action.perms:
+    return _check_invariant(action.perms, FiniteMetricSpace(sp.labels, d, validate=False))
+
+
+def _check_invariant(perms, space: FiniteMetricSpace) -> FiniteMetricSpace:
+    """symmetrize_metric's certificate: every permutation is an isometry of space."""
+    for p in perms:
         perm = np.asarray(p)
-        if not np.array_equal(d[np.ix_(perm, perm)], d):
-            raise CertificateError("symmetrized metric is not G-invariant")
-    return out
+        if not np.array_equal(space.dmat[np.ix_(perm, perm)], space.dmat):
+            raise CertificateError("symmetrized metric is not G-invariant", witness=list(p))
+    return space
 
 
 @dataclass(frozen=True)
@@ -564,21 +577,25 @@ def group_quotient(action: GroupAction) -> GroupQuotient:
     sym = symmetrize_metric(action)
     sym_action = GroupAction(sym, action.table, action.perms)
     orbits = sorted(sym_action.orbits(), key=min)
-    proj = _hausdorff_quotient(sym, orbits, [f"o{min(o)}" for o in orbits])
-    Q = proj.codomain
-    qmat = Q.dmat
-    for x in range(sym.n):
-        for y in range(sym.n):
-            if qmat[proj(x), proj(y)] > sym.dmat[x, y]:
-                raise CertificateError("projection is not 1-Lipschitz", witness=(x, y))
+    proj = _check_1_lipschitz(_hausdorff_quotient(sym, orbits, [f"o{min(o)}" for o in orbits]))
     return GroupQuotient(
-        quotient=Q,
+        quotient=proj.codomain,
         projection=proj,
         symmetrized=sym,
         orbits=tuple(orbits),
         n=action.order,
         control=LinearControl(2.0, 0.0, inclusive=True),
     )
+
+
+def _check_1_lipschitz(p: CoarseMap) -> CoarseMap:
+    """group_quotient's certificate: d(p(x), p(y)) <= d(x, y) for all x, y;
+    the witness is the first violating (x, y) in row-major order."""
+    t = list(p.assign)
+    bad = np.argwhere(p.codomain.dmat[np.ix_(t, t)] > p.domain.dmat)
+    if len(bad):
+        raise CertificateError("projection is not 1-Lipschitz", witness=tuple(bad[0].tolist()))
+    return p
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -40,7 +41,12 @@ __all__ = [
     "lebesgue_number",
     "make_disjoint",
     "on_carrier",
+    "check_families",
 ]
+
+
+def _is_int(v) -> bool:
+    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
 
 
 @dataclass(frozen=True)
@@ -60,9 +66,9 @@ class FamilyOfSets:
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
         for k, s in enumerate(self.sets):
-            bad = [i for i in s if not (0 <= i < self.space.n)]
+            bad = [i for i in s if not (_is_int(i) and 0 <= i < self.space.n)]
             if bad:
-                raise InputError(f"set {k} has members {bad} outside the space")
+                raise InputError(f"set {k} has members {bad} that are not points of the space")
         if self.colors is not None:
             colors = tuple(int(c) for c in self.colors)
             object.__setattr__(self, "colors", colors)
@@ -273,8 +279,6 @@ def make_disjoint(U: FamilyOfSets, R: float, n: Optional[int] = None):
 
     sets, colors, tuples = [], [], []
     for T in sorted(margin_members, key=lambda t: (len(t), t)):
-        if len(T) > n + 1:
-            raise CertificateError("realized index tuple larger than n+1", witness=T)
         sets.append(frozenset(margin_members[T]))
         colors.append(len(T) - 1)
         tuples.append(T)
@@ -290,24 +294,35 @@ def make_disjoint(U: FamilyOfSets, R: float, n: Optional[int] = None):
     return out, trace
 
 
-def _check_disjointification(U, R, n, out, tuples):
-    uncovered = out.uncovered()
-    if uncovered:
-        raise CertificateError("disjointification does not cover", witness=uncovered)
-    for c in range(n + 1):
-        cls = out.color_class(c)
-        ok, wit = is_r_disjoint(cls, R / (n + 1))
+def check_families(space: FiniteMetricSpace, families, scales, mesh_cap=None) -> list:
+    """The shared cover certificate: family i is scales[i]-disjoint, the
+    families jointly cover ``space``, and (when ``mesh_cap`` is given) every
+    mesh is <= mesh_cap.  Returns one {"scale", "r_disjoint", "mesh"} per
+    family; the first failure raises CertificateError naming the family."""
+    certs = []
+    covered = np.zeros(space.n, dtype=bool)
+    for i, (R, fam) in enumerate(zip(scales, families)):
+        ok, wit = is_r_disjoint(fam, R)
         if not ok:
-            raise CertificateError(f"color class {c} not R/(n+1)-disjoint", witness=wit)
-    bound = U.max_diameter() + 2 * R
-    m = mesh(out)
-    if m > bound:
-        raise CertificateError(f"output mesh {m} exceeds {bound}")
+            raise CertificateError(f"family {i} is not {R}-disjoint", witness=wit)
+        certs.append({"scale": R, "r_disjoint": True, "mesh": mesh(fam) if len(fam) else 0.0})
+        covered |= fam.membership.any(axis=0)
+    uncovered = np.flatnonzero(~covered).tolist()
+    if uncovered:
+        raise CertificateError("families do not cover the space", witness=uncovered)
+    if mesh_cap is not None and any(c["mesh"] > mesh_cap for c in certs):
+        raise CertificateError(f"mesh exceeds the cap {mesh_cap}")
+    return certs
+
+
+def _check_disjointification(U, R, n, out, tuples):
+    """make_disjoint's certificate: the color classes are R/(n+1)-disjoint,
+    cover the space and have mesh <= mesh(U) + 2R, and set k of color c has a
+    defining tuple T of c+1 input sets, inside the R-expansion of each."""
+    check_families(out.space, out.color_classes(), [R / (n + 1)] * (n + 1), U.max_diameter() + 2 * R)
     exp = U.expansion(R)
-    for s, row, T in zip(out.sets, out.membership, tuples):
-        for t in T:
-            if (row & ~exp[t]).any():
-                raise CertificateError(
-                    "output set escapes an R-neighborhood of its defining input set",
-                    witness=(sorted(s), t),
-                )
+    for s, c, row, T in zip(out.sets, out.colors, out.membership, tuples):
+        if len(T) != c + 1 or (row & ~exp[list(T)].all(axis=0)).any():
+            raise CertificateError(
+                "output set does not match its defining tuple", witness=(sorted(s), T)
+            )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .controls import as_control
 from .coarse_maps import CoarseMap, control_upper
-from .covers import FamilyOfSets, dim_at_scale, is_r_disjoint, make_disjoint, mesh, on_carrier
+from .covers import FamilyOfSets, check_families, dim_at_scale, is_r_disjoint, make_disjoint, on_carrier
 from .errors import CertificateError, InputError, PreconditionError, Refusal
 from .metric_core import FiniteMetricSpace, Subset, components, diameter, r_components
 
@@ -58,19 +58,7 @@ class ApcWitness:
 
 def verify_apc_witness(w: ApcWitness, *, mesh_cap: Optional[float] = None) -> dict:
     """Re-check disjointness, boundedness, and coverage; returns the certificate."""
-    certs = []
-    for R, fam in zip(w.scales, w.families):
-        ok, wit = is_r_disjoint(fam, R)
-        if not ok:
-            raise CertificateError(f"family at scale {R} is not {R}-disjoint", witness=wit)
-        m = mesh(fam) if len(fam) else 0.0
-        certs.append({"scale": R, "r_disjoint": True, "mesh": m})
-    if w.union() != frozenset(range(w.space.n)):
-        uncovered = sorted(set(range(w.space.n)) - w.union())
-        raise CertificateError("families do not cover the space", witness=uncovered)
-    if mesh_cap is not None and any(c["mesh"] > mesh_cap for c in certs):
-        raise CertificateError(f"mesh exceeds the cap {mesh_cap}")
-    return {"covers": True, "families": certs}
+    return {"covers": True, "families": check_families(w.space, w.families, w.scales, mesh_cap)}
 
 
 @dataclass(frozen=True)
@@ -120,18 +108,29 @@ def asdim_at_scale(
     if mesh_cap < 0:
         raise InputError("mesh_cap must be >= 0")
     greedy = _greedy_partition(space, R, mesh_cap)
-    gdim = dim_at_scale(greedy, R)
-    if space.n > exact_cap:
-        return AsdimResult(gdim, greedy, exact=False)
-    better = _exact_partition_search(space, R, mesh_cap, gdim)
-    if better is None:
-        return AsdimResult(gdim, greedy, exact=True)
-    best_dim, best_blocks = better
-    fam = FamilyOfSets(space, tuple(frozenset(b) for b in best_blocks))
-    check = dim_at_scale(fam, R)
-    if check != best_dim:
-        raise CertificateError("search result fails its own dimension check")
-    return AsdimResult(best_dim, fam, exact=True)
+    res = AsdimResult(dim_at_scale(greedy, R), greedy, exact=space.n <= exact_cap)
+    if res.exact:
+        better = _exact_partition_search(space, R, mesh_cap, res.dim)
+        if better is not None:
+            fam = FamilyOfSets(space, tuple(frozenset(b) for b in better[1]))
+            res = AsdimResult(better[0], fam, exact=True)
+    return _check_asdim(R, mesh_cap, res)
+
+
+def _check_asdim(R, mesh_cap, res: AsdimResult) -> AsdimResult:
+    """asdim_at_scale's certificate: the cover partitions its space, its mesh
+    is <= mesh_cap and its dimension at R is the stated one."""
+    cover = res.cover
+    multiplicity = cover.membership.sum(axis=0)
+    if (multiplicity != 1).any():
+        raise CertificateError(
+            "cover is not a partition", witness=np.flatnonzero(multiplicity != 1).tolist()
+        )
+    if cover.max_diameter() > mesh_cap:
+        raise CertificateError(f"cover mesh {cover.max_diameter()} exceeds the cap {mesh_cap}")
+    if dim_at_scale(cover, R) != res.dim:
+        raise CertificateError(f"cover does not have the stated dimension {res.dim} at {R}")
+    return res
 
 
 def _greedy_partition(space, R, mesh_cap):
@@ -348,23 +347,9 @@ def apc_normalize(w: DimSequenceWitness, M: Sequence[float]) -> ApcWitness:
         R.append(acc)
     out_families = []
     for i in range(k):
-        d = dim_at_scale(w.families[i], R[i])
-        if d > dims[i]:
-            raise CertificateError(
-                f"family {i} has dimension {d} > {dims[i]} at working scale {R[i]}"
-            )
         colored, _ = make_disjoint(w.families[i], R[i], dims[i])
-        for c in range(dims[i] + 1):
-            out_families.append(colored.color_class(c))
+        out_families.extend(colored.color_classes())
     scales = tuple(M[:needed])
-    for t, fam in enumerate(out_families):
-        ok, wit = is_r_disjoint(fam, scales[t])
-        if not ok:
-            raise CertificateError(
-                f"output family {t + 1} is not {scales[t]}-disjoint "
-                "(the working-scale formula under-separates here)",
-                witness=wit,
-            )
     out = ApcWitness(w.space, scales, tuple(out_families))
     cert = verify_apc_witness(out)
     return ApcWitness(w.space, scales, tuple(out_families), (cert,))
@@ -449,14 +434,8 @@ def apc_pullback(
             pre = f.preimage(s)
             if not pre:
                 continue
-            for comp in r_components(Subset(f.domain, pre), Rm):
-                if diameter(comp) > M:
-                    raise CertificateError(
-                        f"a component of a preimage has diameter {diameter(comp)} > M={M}",
-                        witness=sorted(comp.members),
-                    )
-                pieces.append(comp.members)
+            pieces.extend(comp.members for comp in r_components(Subset(f.domain, pre), Rm))
         out_families.append(FamilyOfSets(f.domain, tuple(pieces)))
     out = ApcWitness(f.domain, tuple(scales), tuple(out_families))
-    cert = verify_apc_witness(out)
+    cert = verify_apc_witness(out, mesh_cap=M)
     return ApcWitness(f.domain, tuple(scales), tuple(out_families), (cert,))

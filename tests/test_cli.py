@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -128,7 +129,9 @@ class TestCoverCommands:
         assert report["result"]["lebesgue_number"] == 1.0
 
     @pytest.mark.parametrize(
-        "cover", [{"colors": [0]}, {"sets": [["a", "b"]]}], ids=["no-sets", "string-members"]
+        "cover",
+        [{"colors": [0]}, {"sets": [["a", "b"]]}, {"sets": [[0, 1.0]]}, {"sets": [[0, True]]}],
+        ids=["no-sets", "string-members", "float-member", "bool-member"],
     )
     def test_malformed_cover_is_usage_error(self, capsys, tmp_path, cover):
         sp = write(tmp_path, "sp.json", cloud(0, 9))
@@ -252,8 +255,12 @@ class TestTreeCommands:
         ids=lambda c: c[0])
     @pytest.mark.parametrize("field, value", [
         ("scales", ["2.0"]), ("scales", [None]), ("scales", [True]),
-        ("branching", [2.5]), ("splits", [[[[0, 1.0], [2]]]])],
-        ids=["string-scale", "null-scale", "bool-scale", "float-branching", "float-index"])
+        ("branching", [2.5]), ("splits", [[[[0, 1.0], [2]]]]),
+        ("scales", [math.nan]), ("scales", [math.inf]), ("terminal_mesh", math.nan),
+        ("levels", [{"sets": [list(range(15)) + [15.0]]},
+                    {"sets": [list(range(0, 7)), list(range(9, 16)), [7, 8]]}])],
+        ids=["string-scale", "null-scale", "bool-scale", "float-branching", "float-index",
+             "nan-scale", "inf-scale", "nan-terminal-mesh", "float-member"])
     def test_malformed_tree_is_usage_error(self, capsys, tmp_path, path16, command, field, value):
         t = write(tmp_path, "t.json", {**self.tree_obj(2.0), field: value})
         code, report, err = run(
