@@ -65,8 +65,9 @@ class FamilyOfSets:
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
+        n = self.space.n
         for k, s in enumerate(self.sets):
-            bad = [i for i in s if not (_is_int(i) and 0 <= i < self.space.n)]
+            bad = [i for i in s if not ((type(i) is int or _is_int(i)) and 0 <= i < n)]
             if bad:
                 raise InputError(f"set {k} has members {bad} that are not points of the space")
         if self.colors is not None:
@@ -298,13 +299,14 @@ def check_families(space: FiniteMetricSpace, families, scales, mesh_cap=None) ->
     """The shared cover certificate: family i is scales[i]-disjoint, the
     families jointly cover ``space``, and (when ``mesh_cap`` is given) every
     mesh is <= mesh_cap.  Returns one {"scale", "r_disjoint", "mesh"} per
-    family; the first failure raises CertificateError naming the family."""
+    family; the first failure raises CertificateError naming the family,
+    numbered from 1."""
     certs = []
     covered = np.zeros(space.n, dtype=bool)
     for i, (R, fam) in enumerate(zip(scales, families)):
         ok, wit = is_r_disjoint(fam, R)
         if not ok:
-            raise CertificateError(f"family {i} is not {R}-disjoint", witness=wit)
+            raise CertificateError(f"family {i + 1} is not {R}-disjoint", witness=wit)
         certs.append({"scale": R, "r_disjoint": True, "mesh": mesh(fam) if len(fam) else 0.0})
         covered |= fam.membership.any(axis=0)
     uncovered = np.flatnonzero(~covered).tolist()
@@ -317,12 +319,12 @@ def check_families(space: FiniteMetricSpace, families, scales, mesh_cap=None) ->
 
 def _check_disjointification(U, R, n, out, tuples):
     """make_disjoint's certificate: the color classes are R/(n+1)-disjoint,
-    cover the space and have mesh <= mesh(U) + 2R, and set k of color c has a
-    defining tuple T of c+1 input sets, inside the R-expansion of each."""
+    cover the space and have mesh <= mesh(U) + 2R, and each set lies inside
+    the R-expansion of every input set of its defining tuple."""
     check_families(out.space, out.color_classes(), [R / (n + 1)] * (n + 1), U.max_diameter() + 2 * R)
     exp = U.expansion(R)
-    for s, c, row, T in zip(out.sets, out.colors, out.membership, tuples):
-        if len(T) != c + 1 or (row & ~exp[list(T)].all(axis=0)).any():
+    for s, row, T in zip(out.sets, out.membership, tuples):
+        if (row & ~exp[list(T)].all(axis=0)).any():
             raise CertificateError(
                 "output set does not match its defining tuple", witness=(sorted(s), T)
             )

@@ -326,7 +326,9 @@ def apc_normalize(w: DimSequenceWitness, M: Sequence[float]) -> ApcWitness:
     concatenation (level, then class) is checked against the target gaps: the
     t-th output family must be M_t-disjoint.  M must be supplied up to
     m_k + k entries; the check can genuinely fail for fast-growing M, in which
-    case the certificate error names the offending family.
+    case the certificate error names the offending family.  The witness
+    bounds dim(V_i) only at its own scale, so V_i may exceed n_i at the larger
+    R_i; that certificate error names V_i (1-based) and R_i.
     """
     w.validate()
     M = [float(v) for v in M]
@@ -347,6 +349,11 @@ def apc_normalize(w: DimSequenceWitness, M: Sequence[float]) -> ApcWitness:
         R.append(acc)
     out_families = []
     for i in range(k):
+        d = dim_at_scale(w.families[i], R[i])
+        if d > dims[i]:
+            raise CertificateError(
+                f"family {i + 1} has dimension {d} > {dims[i]} at working scale {R[i]}"
+            )
         colored, _ = make_disjoint(w.families[i], R[i], dims[i])
         out_families.extend(colored.color_classes())
     scales = tuple(M[:needed])

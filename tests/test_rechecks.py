@@ -89,7 +89,7 @@ def test_shared_cover_check():
     assert verify_apc_witness(w, mesh_cap=3.0) == w.certificates[0]
     assert covers.check_families(sp, w.families, w.scales, 3.0) == w.certificates[0]["families"]
     close = (fam(sp, {0}, {1}),) + w.families[1:]
-    rejects(lambda: covers.check_families(sp, close, w.scales), r"family 0 is not 2\.0-disjoint")
+    rejects(lambda: covers.check_families(sp, close, w.scales), r"family 1 is not 2\.0-disjoint")
     dropped = (w.families[0], fam(sp))
     rejects(lambda: covers.check_families(sp, dropped, w.scales), "do not cover")
     rejects(lambda: covers.check_families(sp, w.families, w.scales, 0.5), "exceeds the cap")
@@ -100,8 +100,18 @@ def test_apc_normalize_names_the_under_separated_family():
     # guaranteed 8-disjoint; its two sets lie 9 apart, short of the gap 10
     sp = cloud(0, 1, 10, 11)
     w = DimSequenceWitness(sp, (1.0, 1.0), (0, 0), (fam(sp, range(4)), fam(sp, {0, 1}, {2, 3})))
-    rejects(lambda: apc_normalize(w, (4.0, 10.0)), r"family 1 is not 10\.0-disjoint")
+    rejects(lambda: apc_normalize(w, (4.0, 10.0)), r"family 2 is not 10\.0-disjoint")
     assert apc_normalize(w, (4.0, 9.0)).certificates[0]["covers"]
+
+
+def test_apc_normalize_names_the_family_too_wide_at_its_working_scale():
+    # three blocks of a path have dimension 1 at the witness scale 2, but 2
+    # at the working scale R_1 = 2 * 5 = 10, where every expansion meets all
+    sp = path_space(9)
+    w = DimSequenceWitness(sp, (2.0,), (1,), (fam(sp, range(3), range(3, 6), range(6, 9)),))
+    w.validate()
+    rejects(lambda: apc_normalize(w, (5.0, 5.0)), r"family 1 has dimension 2 > 1 at working scale 10\.0")
+    assert apc_normalize(w, (1.0, 1.0)).certificates[0]["covers"]
 
 
 def test_disjointification_check():
@@ -118,9 +128,6 @@ def test_disjointification_check():
     wrong = list(tuples)
     wrong[k] = (0,)  # a set of the third interval, credited to the first
     rejects(lambda: check(out, wrong), "defining tuple")
-    longer = list(tuples)
-    longer[k] = (1, 2)  # colour 0 claims a two-set tuple
-    rejects(lambda: check(out, longer), "defining tuple")
     sets = list(out.sets)
     dropped = fam(sp, *sets[1:], colors=out.colors[1:], n_colors=3)
     rejects(lambda: check(dropped, tuples[1:]), "do not cover")
@@ -338,7 +345,7 @@ def test_tree_to_cover_check():
     classes = cover.color_classes()
     covers.check_families(sp, classes, [2.0] * len(classes), 6.0)
     merged = [FamilyOfSets(sp, classes[0].sets + classes[1].sets), classes[0]]
-    rejects(lambda: covers.check_families(sp, merged, [2.0, 2.0], 6.0), "family 0 is not")
+    rejects(lambda: covers.check_families(sp, merged, [2.0, 2.0], 6.0), "family 1 is not")
     rejects(lambda: covers.check_families(sp, classes, [2.0] * len(classes), 5.0), "cap 5.0")
 
 
