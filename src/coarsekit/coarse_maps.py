@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from .controls import LinearControl, StepFunction
@@ -80,26 +79,18 @@ class CoarseMap:
 
 def control_upper(f: CoarseMap) -> StepFunction:
     """Minimal nondecreasing E with d_Y(f(x), f(y)) <= E(d_X(x, y)); attained values."""
-    dx = f.domain.dmat
     idx = list(f.assign)
-    dy = f.codomain.dmat[np.ix_(idx, idx)]
-    pairs = sorted(zip(dx.ravel().tolist(), dy.ravel().tolist()))
-    bps = []
-    running = 0.0
-    last_r = None
-    for r, v in pairs:
-        running = max(running, v)
-        if last_r is None or r != last_r:
-            bps.append([r, running])
-            last_r = r
-        else:
-            bps[-1][1] = running
-    # collapse to a proper nondecreasing step function over realized distances
-    out = []
-    cur = -1.0
-    for r, v in bps:
-        cur = max(cur, v)
-        out.append((r, cur))
+    dx = f.domain.dmat.ravel()
+    dy = f.codomain.dmat[np.ix_(idx, idx)].ravel()
+    order = np.lexsort((dy, dx))
+    dx = dx[order]
+    running = np.maximum.accumulate(np.maximum(dy[order], 0.0))
+    # one breakpoint per realized distance: the r of its first pair (0.0 and
+    # -0.0 tie) and the running max at its last pair
+    new_r = dx[1:] != dx[:-1]
+    first = np.r_[True, new_r][: dx.size]
+    last = np.r_[new_r, True][: dx.size]
+    out = zip(dx[first].tolist(), running[last].tolist())
     return StepFunction(tuple(out), inclusive=True)
 
 
@@ -128,18 +119,47 @@ def maximal_r_bounded_sets(space: FiniteMetricSpace, r: float, *, within=None):
     """
     pts = sorted(within) if within is not None else list(range(space.n))
     if len(pts) <= CLIQUE_ENUM_CAP:
-        g = nx.Graph()
-        g.add_nodes_from(pts)
-        for a_pos, a in enumerate(pts):
-            for b in pts[a_pos + 1 :]:
-                if space.dmat[a, b] <= r:
-                    g.add_edge(a, b)
-        cliques = sorted(tuple(sorted(c)) for c in nx.find_cliques(g))
+        adj = space.dmat[np.ix_(pts, pts)] <= r
+        cliques = sorted(tuple(sorted(pts[i] for i in c)) for c in _maximal_cliques(adj))
         return [frozenset(c) for c in cliques], True
     balls = set()
     for y in pts:
         balls.add(frozenset(z for z in pts if space.dmat[y, z] <= r))
     return sorted(balls, key=sorted), False
+
+
+def _maximal_cliques(adj):
+    """Maximal cliques of a boolean adjacency matrix (diagonal ignored), as
+    tuples of row indices: Bron–Kerbosch on bitmasks, pivoting on the vertex
+    of cand | excl with the most neighbours in cand.  Masks are Python ints,
+    so 64 and more vertices do not overflow."""
+    nbr = [sum(1 << j for j in np.flatnonzero(row).tolist() if j != i) for i, row in enumerate(adj)]
+    out = []
+
+    def expand(clique, cand, excl):
+        if not cand:
+            if not excl:
+                out.append(clique)
+            return
+        best = -1
+        rest = cand | excl
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            degree = (nbr[u] & cand).bit_count()
+            if degree > best:
+                best, pivot = degree, u
+        todo = cand & ~nbr[pivot]
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            expand(clique + (v,), cand & nbr[v], excl & nbr[v])
+            cand &= ~(1 << v)
+            excl |= 1 << v
+
+    if len(adj):
+        expand((), (1 << len(adj)) - 1, 0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -545,10 +565,10 @@ class GroupAction:
 def symmetrize_metric(action: GroupAction) -> FiniteMetricSpace:
     """d(x, y) = sum over g of rho(g.x, g.y): a G-invariant metric on the same points."""
     sp = action.space
-    d = np.zeros_like(sp.dmat)
-    for p in action.perms:
-        perm = np.asarray(p)
-        d += sp.dmat[np.ix_(perm, perm)]
+    # each entry sums its |G| terms in sorted order, so (g.x, g.y) and (x, y),
+    # which sum the same terms, get the same float
+    tables = np.sort([sp.dmat[np.ix_(p, p)] for p in action.perms], axis=0)
+    d = tables.sum(axis=0)
     return _check_invariant(action.perms, FiniteMetricSpace(sp.labels, d, validate=False))
 
 

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import InputError, MetricError, PreconditionError
 
@@ -185,6 +183,9 @@ def build_space(descriptor: dict) -> FiniteMetricSpace:
         labels = descriptor.get("labels", list(range(coords.shape[0])))
         return FiniteMetricSpace(labels, dmat, validate=False)
     if kind == "graph":
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
+
         edges = descriptor["edges"]
         labels = descriptor.get("labels")
         if labels is None:

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .coarse_maps import CoarseMap, control_upper, graph_coloring, maximal_r_bounded_sets
 from .covers import FamilyOfSets, is_r_disjoint, make_disjoint, mesh, on_carrier
@@ -443,6 +442,8 @@ def _maximal_feasible_sets(space, pts, R, S):
 
 
 def _game_value(space, pts, R, S):
+    from scipy.optimize import linprog
+
     maximal = _maximal_feasible_sets(space, pts, R, S)
     k = len(pts)
     # fractional cover: min sum y_O subject to sum over O containing x of y_O >= 1

@@ -298,6 +298,21 @@ class TestSymmetrize:
                 for j in range(sym.n):
                     assert sym.d(p[i], p[j]) == sym.d(i, j)
 
+    @pytest.mark.parametrize("m", range(4, 13))
+    def test_invariant_on_irrational_l2_distances(self, m):
+        # the rotated tables hold the same terms in another order per entry; a
+        # group-order sum could differ in the last bit and fail the check
+        from coarsekit import GroupAction
+
+        angles = [2 * math.pi * k / m for k in range(m)]
+        sp = build_space({"kind": "cloud", "norm": "l2",
+                          "coords": [[1.7 * math.cos(t), 1.3 * math.sin(t)] for t in angles]})
+        perms = tuple(tuple((x + g) % m for x in range(m)) for g in range(m))
+        table = tuple(tuple((g + h) % m for h in range(m)) for g in range(m))
+        sym = symmetrize_metric(GroupAction(sp, table, perms))
+        for p in perms:
+            assert all(sym.d(p[i], p[j]) == sym.d(i, j) for i in range(m) for j in range(m))
+
 
 class TestGroupQuotient:
     def test_cycle_antipodal(self):

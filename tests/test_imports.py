@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private module-level function or class is used somewhere in the package.
+"""Every name a library module imports is used in that module, every
+private module-level function or class is used somewhere in the package, and
+importing the CLI loads neither networkx nor scipy.
 
 For imports, ``__init__.py`` is skipped: its imports are the package's
 re-exports.  A name counts as used when it is read anywhere in the module,
@@ -9,6 +10,9 @@ any module of the package, reads it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +91,12 @@ def test_no_unused_private_definitions():
                     and not any(node.name in names for other, names in reads if other is not node)):
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert not unused, f"private definitions nothing reads: {', '.join(unused)}"
+
+
+def test_cli_import_loads_neither_networkx_nor_scipy():
+    # a fresh interpreter: this process may already hold scipy
+    probe = ("import coarsekit.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('networkx', 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True, timeout=60)
+    assert out.stdout.strip() == "[]", f"import coarsekit.cli loaded {out.stdout.strip()}"

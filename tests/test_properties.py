@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 from coarsekit import (
     CertificateError,
+    CoarseMap,
     DecompositionTree,
     FamilyOfSets,
+    FiniteMetricSpace,
     PreconditionError,
     Subset,
     build_space,
     casdim_to_sfdc,
     components,
+    control_upper,
     diameter,
     dim_at_scale,
     hausdorff_distance,
@@ -24,13 +27,18 @@ from coarsekit import (
     is_r_disjoint,
     lebesgue_number,
     make_disjoint,
+    maximal_r_bounded_sets,
     mesh,
     neighborhood,
     partition_refine,
     r_components,
     verify_tree,
 )
-from coarsekit.coarse_maps import _component_relaxation, min_max_diameter_partition
+from coarsekit.coarse_maps import (
+    CLIQUE_ENUM_CAP,
+    _component_relaxation,
+    min_max_diameter_partition,
+)
 from coarsekit.msp import _feasibility, _maximal_feasible_sets
 from coarsekit.serialization import tree_to_json
 from coarsekit.trees import _require_valid
@@ -199,6 +207,89 @@ def test_maximal_feasible_sets_match_pairwise_filter(sp, R, S):
     feas = [m for m in range(1, 1 << sp.n) if feasible(m)]
     reference = [m for m in feas if not any(m != o and m & o == m for o in feas)]
     assert _maximal_feasible_sets(sp, list(range(sp.n)), R, S) == reference
+
+
+def _graph_space(n, edges):
+    """The 1-2 metric of a graph: distance 1 on edges, 2 between non-neighbours."""
+    d = np.full((n, n), 2.0)
+    np.fill_diagonal(d, 0.0)
+    for a, b in edges:
+        d[a, b] = d[b, a] = 1.0
+    return FiniteMetricSpace(list(range(n)), d, validate=False)
+
+
+def _is_clique(sp, s):
+    return all(sp.dmat[a, b] <= 1.0 for a, b in itertools.combinations(s, 2))
+
+
+@st.composite
+def graphs_with_within(draw):
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [p for p, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                        max_size=len(pairs)))) if keep]
+    within = draw(st.one_of(st.none(), st.frozensets(st.integers(0, n - 1), min_size=1)))
+    return _graph_space(n, edges), within
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_within())
+def test_maximal_r_bounded_sets_match_brute_force_cliques(data):
+    sp, within = data
+    pts = sorted(within) if within is not None else list(range(sp.n))
+    reference = [
+        frozenset(s)
+        for k in range(1, len(pts) + 1)
+        for s in itertools.combinations(pts, k)
+        if _is_clique(sp, s) and not any(_is_clique(sp, s + (v,)) for v in pts if v not in s)
+    ]
+    sets, exact = maximal_r_bounded_sets(sp, 1.0, within=within)
+    assert exact
+    assert sets == sorted(reference, key=sorted)
+
+
+def test_maximal_r_bounded_sets_at_the_clique_cap():
+    # 64 points: bit 63 is the sign bit of int64, so masks must be Python ints
+    rng = np.random.default_rng(7)
+    n = CLIQUE_ENUM_CAP
+    edges = [(a, b) for a, b in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+    sp = _graph_space(n, edges)
+    sets, exact = maximal_r_bounded_sets(sp, 1.0)
+    assert exact and len(set(sets)) == len(sets)
+    for s in sets:
+        assert _is_clique(sp, s)
+        assert not any(_is_clique(sp, tuple(s) + (v,)) for v in range(n) if v not in s)
+    # every vertex and every edge lies in some maximal clique
+    assert frozenset().union(*sets) == frozenset(range(n))
+    assert all(any({a, b} <= s for s in sets) for a, b in edges)
+
+
+def _ref_control_upper(f):
+    """The least control by one pass over the sorted (d_X, d_Y) pairs."""
+    idx = list(f.assign)
+    dy = f.codomain.dmat[np.ix_(idx, idx)]
+    pairs = sorted(zip(f.domain.dmat.ravel().tolist(), dy.ravel().tolist()))
+    bps, running, last_r = [], 0.0, None
+    for r, v in pairs:
+        running = max(running, v)
+        if r != last_r:
+            bps.append([r, running])
+            last_r = r
+        else:
+            bps[-1][1] = running
+    return tuple(tuple(bp) for bp in bps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_spaces(), small_spaces(), st.data(), st.sampled_from([1.0, 0.1, 0.3]))
+def test_control_upper_matches_sorted_pair_loop(X, Y, data, unit):
+    # integer l1 clouds give many tied distances; a non-injective map gives
+    # zero codomain distances off the diagonal; the units 0.1 and 0.3 make
+    # the distances inexact floats
+    X = FiniteMetricSpace(X.labels, X.dmat * unit, validate=False)
+    assign = data.draw(st.lists(st.integers(0, Y.n - 1), min_size=X.n, max_size=X.n))
+    f = CoarseMap(X, Y, tuple(assign))
+    assert control_upper(f).breakpoints == _ref_control_upper(f)
 
 
 # ---------------------------------------------------------------------------

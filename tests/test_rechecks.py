@@ -4,7 +4,7 @@ Each test builds a real output of one certified operation, passes it to the
 operation's named check (which must accept it), then passes tampered copies
 (each must raise CertificateError).  Checks whose failure a real input can
 provoke are also driven through the operation itself.  The LP and CLI sites
-are reached by replacing ``linprog`` or ``run_suite``.
+are reached by replacing ``scipy.optimize.linprog`` or ``run_suite``.
 
 ``test_every_certificate_raise_is_executed`` runs every other test of this
 file under a line tracer and fails when some ``raise CertificateError`` line
@@ -21,6 +21,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+import scipy.optimize
 
 import coarsekit
 from coarsekit import (
@@ -288,7 +289,7 @@ def test_game_lp_sites():
     sp = path_space(4)
     pts = [0, 1, 2, 3]
     assert msp._game_value(sp, pts, 2.0, 0.0)[0] == pytest.approx(0.5)
-    real = msp.linprog
+    real = scipy.optimize.linprog
 
     def failing(which):
         calls = []
@@ -303,7 +304,7 @@ def test_game_lp_sites():
         return fake
 
     for which, match in ((1, "covering LP"), (2, "game LP")):
-        with mock.patch.object(msp, "linprog", failing(which)):
+        with mock.patch.object(scipy.optimize, "linprog", failing(which)):
             rejects(lambda: msp._game_value(sp, pts, 2.0, 0.0), match)
 
     def skewed(*a, **kw):
@@ -312,7 +313,7 @@ def test_game_lp_sites():
             res.fun += 0.1
         return res
 
-    with mock.patch.object(msp, "linprog", skewed):
+    with mock.patch.object(scipy.optimize, "linprog", skewed):
         rejects(lambda: msp._game_value(sp, pts, 2.0, 0.0), "disagree")
 
 
