@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -100,9 +101,20 @@ def _control_arg(value: str):
         raise _UsageError(f"control {value}: {e}")
 
 
+def _float_arg(value: str) -> float:
+    """A float; NaN is a usage error, unparsable text stays argparse's "invalid float value"."""
+    x = float(value)
+    if math.isnan(x):
+        raise _UsageError(f"NaN is not a valid number: {value!r}")
+    return x
+
+
+_float_arg.__name__ = "float"  # the type name argparse prints for unparsable text
+
+
 def _scales_arg(value: str) -> list[float]:
     try:
-        return [float(v) for v in value.split(",") if v != ""]
+        return [_float_arg(v) for v in value.split(",") if v != ""]
     except ValueError:
         raise _UsageError(f"cannot parse scale list {value!r}")
 
@@ -376,6 +388,65 @@ def _cmd_suite(inp, args):
 
 # ---------------------------------------------------------------- parser
 
+# Each flag's argparse spec, written once; flags with the same spec share it.
+_FLAGS = {
+    **dict.fromkeys(["--space", "--cover", "--domain", "--codomain", "--map", "--action",
+                     "--witness", "--tree", "--measure", "--name"], {"required": True}),
+    **dict.fromkeys(["--scale", "--r", "--big-r", "--mesh-cap", "--bound", "--big-s", "--big-k",
+                     "--c"], {"required": True, "type": _float_arg}),
+    **dict.fromkeys(["--c-cap", "--component-scale", "--codomain-scale"],
+                    {"type": _float_arg, "default": None}),
+    **dict.fromkeys(["--scales", "--gaps", "--target-scales"],
+                    {"required": True, "type": _scales_arg}),
+    **dict.fromkeys(["--count", "--max-points"], {"type": int, "default": None}),
+    "--closed": {"action": "store_true"},
+    "--n": {"required": True, "type": int},
+    "--control": {"required": True, "type": _control_arg},
+    "--budget": {"type": int, "default": 10**6},
+    "--mode": {"required": True, "choices": ["sfdc", "casdim"]},
+    "--set": {"type": _int_set_arg, "default": None},
+    "--seed": {"required": True, "type": int},
+}
+
+_MAP = "--domain --codomain --map"  # the flags _Inputs.load_map reads
+
+# command -> (handler, flags in usage order, help).  A group is an entry with no
+# handler, listed before its commands.  A trailing "?" marks a flag that the
+# command takes as optional, defaulting to None.
+_COMMANDS = {
+    "space": (_cmd_space, "--space", "validate and describe a space"),
+    "cover": (None, "", "cover operations"),
+    "cover dim": (_cmd_cover_dim, "--space --cover --scale --closed", None),
+    "cover disjointify": (_cmd_cover_disjointify, "--space --cover --scale --n?", None),
+    "cover lebesgue": (_cmd_cover_lebesgue, "--space --cover", None),
+    "map": (None, "", "coarse map operations"),
+    "map control": (_cmd_map_control, f"{_MAP} --n --c-cap", None),
+    "map profile": (_cmd_map_profile, f"{_MAP} --r --big-r", None),
+    "map push": (_cmd_map_push, f"{_MAP} --cover --r --n --control", None),
+    "map factor": (_cmd_map_factor, f"{_MAP} --big-r --n?", None),
+    "quotient": (_cmd_quotient, "--space --action", "group quotient with certified control"),
+    "apc": (None, "", "scale-indexed family witnesses"),
+    "apc witness": (_cmd_apc_witness, "--space --scales --mesh-cap --budget", None),
+    "apc normalize": (_cmd_apc_normalize, "--space --witness --gaps", None),
+    "apc push": (_cmd_apc_push, f"{_MAP} --witness --n --control --target-scales", None),
+    "apc pull": (_cmd_apc_pull, f"{_MAP} --witness --target-scales --bound", None),
+    "tree": (None, "", "decomposition tree operations"),
+    "tree verify": (_cmd_tree_verify, "--space --tree --mode", None),
+    "tree refine": (_cmd_tree_refine, "--space --tree", None),
+    "tree convert": (_cmd_tree_convert, "--space --tree", None),
+    "tree cover": (_cmd_tree_cover, "--space --tree --scale", None),
+    "tree push": (_cmd_tree_push, f"{_MAP} --tree --n --control --target-scales", None),
+    "tree pull": (
+        _cmd_tree_pull, f"{_MAP} --tree --n --control --target-scales --component-scale", None
+    ),
+    "msp": (None, "", "measure sparsification"),
+    "msp family": (_cmd_msp_family, "--space --measure --big-r --big-s", None),
+    "msp push": (_cmd_msp_push, f"{_MAP} --measure --n --control --big-r", None),
+    "msp pull": (_cmd_msp_pull, f"{_MAP} --measure --big-r --big-k --big-s --codomain-scale", None),
+    "msp check": (_cmd_msp_check, f"{_MAP} --set --big-r --big-s --c --big-k", None),
+    "suite": (_cmd_suite, "--name --seed --count --max-points", "run a named property suite"),
+}
+
 
 def _build_parser():
     p = argparse.ArgumentParser(
@@ -386,170 +457,27 @@ def _build_parser():
     )
     p.add_argument("--output", help="write the report to this path instead of stdout")
     p.add_argument("--timing", action="store_true", help="print elapsed seconds to stderr")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add(parser, *specs):
-        for flag, kw in specs:
-            parser.add_argument(flag, **kw)
-
-    sp_space = sub.add_parser("space", help="validate and describe a space")
-    sp_space.add_argument("--space", required=True)
-    sp_space.set_defaults(handler=_cmd_space)
-
-    cover = sub.add_parser("cover", help="cover operations").add_subparsers(
-        dest="subcommand", required=True
-    )
-    c_dim = cover.add_parser("dim")
-    add(c_dim, ("--space", {"required": True}), ("--cover", {"required": True}),
-        ("--scale", {"required": True, "type": float}),
-        ("--closed", {"action": "store_true"}))
-    c_dim.set_defaults(handler=_cmd_cover_dim)
-    c_dis = cover.add_parser("disjointify")
-    add(c_dis, ("--space", {"required": True}), ("--cover", {"required": True}),
-        ("--scale", {"required": True, "type": float}),
-        ("--n", {"type": int, "default": None}))
-    c_dis.set_defaults(handler=_cmd_cover_disjointify)
-    c_leb = cover.add_parser("lebesgue")
-    add(c_leb, ("--space", {"required": True}), ("--cover", {"required": True}))
-    c_leb.set_defaults(handler=_cmd_cover_lebesgue)
-
-    mp = sub.add_parser("map", help="coarse map operations").add_subparsers(
-        dest="subcommand", required=True
-    )
-    m_ctl = mp.add_parser("control")
-    add(m_ctl, ("--domain", {"required": True}), ("--codomain", {"required": True}),
-        ("--map", {"required": True}), ("--n", {"required": True, "type": int}),
-        ("--c-cap", {"type": float, "default": None}))
-    m_ctl.set_defaults(handler=_cmd_map_control)
-    m_prof = mp.add_parser("profile")
-    add(m_prof, ("--domain", {"required": True}), ("--codomain", {"required": True}),
-        ("--map", {"required": True}), ("--r", {"required": True, "type": float}),
-        ("--big-r", {"required": True, "type": float}))
-    m_prof.set_defaults(handler=_cmd_map_profile)
-    m_push = mp.add_parser("push")
-    add(m_push, ("--domain", {"required": True}), ("--codomain", {"required": True}),
-        ("--map", {"required": True}), ("--cover", {"required": True}),
-        ("--r", {"required": True, "type": float}),
-        ("--n", {"required": True, "type": int}),
-        ("--control", {"required": True, "type": _control_arg}))
-    m_push.set_defaults(handler=_cmd_map_push)
-    m_fac = mp.add_parser("factor")
-    add(m_fac, ("--domain", {"required": True}), ("--codomain", {"required": True}),
-        ("--map", {"required": True}), ("--big-r", {"required": True, "type": float}),
-        ("--n", {"type": int, "default": None}))
-    m_fac.set_defaults(handler=_cmd_map_factor)
-
-    q = sub.add_parser("quotient", help="group quotient with certified control")
-    add(q, ("--space", {"required": True}), ("--action", {"required": True}))
-    q.set_defaults(handler=_cmd_quotient)
-
-    apc = sub.add_parser("apc", help="scale-indexed family witnesses").add_subparsers(
-        dest="subcommand", required=True
-    )
-    a_wit = apc.add_parser("witness")
-    add(a_wit, ("--space", {"required": True}),
-        ("--scales", {"required": True, "type": _scales_arg}),
-        ("--mesh-cap", {"required": True, "type": float}),
-        ("--budget", {"type": int, "default": 10**6}))
-    a_wit.set_defaults(handler=_cmd_apc_witness)
-    a_norm = apc.add_parser("normalize")
-    add(a_norm, ("--space", {"required": True}), ("--witness", {"required": True}),
-        ("--gaps", {"required": True, "type": _scales_arg}))
-    a_norm.set_defaults(handler=_cmd_apc_normalize)
-    a_push = apc.add_parser("push")
-    add(a_push, ("--domain", {"required": True}), ("--codomain", {"required": True}),
-        ("--map", {"required": True}), ("--witness", {"required": True}),
-        ("--n", {"required": True, "type": int}),
-        ("--control", {"required": True, "type": _control_arg}),
-        ("--target-scales", {"required": True, "type": _scales_arg}))
-    a_push.set_defaults(handler=_cmd_apc_push)
-    a_pull = apc.add_parser("pull")
-    add(a_pull, ("--domain", {"required": True}), ("--codomain", {"required": True}),
-        ("--map", {"required": True}), ("--witness", {"required": True}),
-        ("--target-scales", {"required": True, "type": _scales_arg}),
-        ("--bound", {"required": True, "type": float}))
-    a_pull.set_defaults(handler=_cmd_apc_pull)
-
-    tr = sub.add_parser("tree", help="decomposition tree operations").add_subparsers(
-        dest="subcommand", required=True
-    )
-    t_ver = tr.add_parser("verify")
-    add(t_ver, ("--space", {"required": True}), ("--tree", {"required": True}),
-        ("--mode", {"required": True, "choices": ["sfdc", "casdim"]}))
-    t_ver.set_defaults(handler=_cmd_tree_verify)
-    t_ref = tr.add_parser("refine")
-    add(t_ref, ("--space", {"required": True}), ("--tree", {"required": True}))
-    t_ref.set_defaults(handler=_cmd_tree_refine)
-    t_conv = tr.add_parser("convert")
-    add(t_conv, ("--space", {"required": True}), ("--tree", {"required": True}))
-    t_conv.set_defaults(handler=_cmd_tree_convert)
-    t_cov = tr.add_parser("cover")
-    add(t_cov, ("--space", {"required": True}), ("--tree", {"required": True}),
-        ("--scale", {"required": True, "type": float}))
-    t_cov.set_defaults(handler=_cmd_tree_cover)
-    t_push = tr.add_parser("push")
-    add(t_push, ("--domain", {"required": True}), ("--codomain", {"required": True}),
-        ("--map", {"required": True}), ("--tree", {"required": True}),
-        ("--n", {"required": True, "type": int}),
-        ("--control", {"required": True, "type": _control_arg}),
-        ("--target-scales", {"required": True, "type": _scales_arg}))
-    t_push.set_defaults(handler=_cmd_tree_push)
-    t_pull = tr.add_parser("pull")
-    add(t_pull, ("--domain", {"required": True}), ("--codomain", {"required": True}),
-        ("--map", {"required": True}), ("--tree", {"required": True}),
-        ("--n", {"required": True, "type": int}),
-        ("--control", {"required": True, "type": _control_arg}),
-        ("--target-scales", {"required": True, "type": _scales_arg}),
-        ("--component-scale", {"type": float, "default": None}))
-    t_pull.set_defaults(handler=_cmd_tree_pull)
-
-    ms = sub.add_parser("msp", help="measure sparsification").add_subparsers(
-        dest="subcommand", required=True
-    )
-    s_fam = ms.add_parser("family")
-    add(s_fam, ("--space", {"required": True}), ("--measure", {"required": True}),
-        ("--big-r", {"required": True, "type": float}),
-        ("--big-s", {"required": True, "type": float}))
-    s_fam.set_defaults(handler=_cmd_msp_family)
-    s_push = ms.add_parser("push")
-    add(s_push, ("--domain", {"required": True}), ("--codomain", {"required": True}),
-        ("--map", {"required": True}), ("--measure", {"required": True}),
-        ("--n", {"required": True, "type": int}),
-        ("--control", {"required": True, "type": _control_arg}),
-        ("--big-r", {"required": True, "type": float}))
-    s_push.set_defaults(handler=_cmd_msp_push)
-    s_pull = ms.add_parser("pull")
-    add(s_pull, ("--domain", {"required": True}), ("--codomain", {"required": True}),
-        ("--map", {"required": True}), ("--measure", {"required": True}),
-        ("--big-r", {"required": True, "type": float}),
-        ("--big-k", {"required": True, "type": float}),
-        ("--big-s", {"required": True, "type": float}),
-        ("--codomain-scale", {"type": float, "default": None}))
-    s_pull.set_defaults(handler=_cmd_msp_pull)
-    s_chk = ms.add_parser("check")
-    add(s_chk, ("--domain", {"required": True}), ("--codomain", {"required": True}),
-        ("--map", {"required": True}),
-        ("--set", {"type": _int_set_arg, "default": None}),
-        ("--big-r", {"required": True, "type": float}),
-        ("--big-s", {"required": True, "type": float}),
-        ("--c", {"required": True, "type": float}),
-        ("--big-k", {"required": True, "type": float}))
-    s_chk.set_defaults(handler=_cmd_msp_check)
-
-    st = sub.add_parser("suite", help="run a named property suite")
-    add(st, ("--name", {"required": True}), ("--seed", {"required": True, "type": int}),
-        ("--count", {"type": int, "default": None}),
-        ("--max-points", {"type": int, "default": None}))
-    st.set_defaults(handler=_cmd_suite)
+    groups = {"": p.add_subparsers(dest="command", required=True)}
+    for name, (handler, flags, help_text) in _COMMANDS.items():
+        group, _, word = name.rpartition(" ")
+        # help=None would still list the command, blank, in its group's help
+        parser = groups[group].add_parser(word, **({"help": help_text} if help_text else {}))
+        if handler is None:
+            groups[name] = parser.add_subparsers(dest="subcommand", required=True)
+            continue
+        for flag in flags.split():
+            f = flag.rstrip("?")
+            optional = {"required": False, "default": None} if f != flag else {}
+            parser.add_argument(f, **{**_FLAGS[f], **optional})
+        parser.set_defaults(handler=handler, flags=flags)
     return p
 
 
 def _parameters(args) -> dict:
-    skip = {"handler", "command", "subcommand", "output", "timing"}
+    """The command's declared flags and their values, keyed by argparse dest."""
     out = {}
-    for k, v in sorted(vars(args).items()):
-        if k in skip:
-            continue
+    for k in sorted(flag.strip("-?").replace("-", "_") for flag in args.flags.split()):
+        v = getattr(args, k)
         if hasattr(v, "to_json"):
             v = v.to_json()
         elif isinstance(v, frozenset):

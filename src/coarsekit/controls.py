@@ -30,22 +30,25 @@ class StepFunction:
     breakpoints: tuple
     inclusive: bool = True
     flags: dict = field(default_factory=dict, compare=False)
+    _radii: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rs = [r for r, _ in self.breakpoints]
         vs = [v for _, v in self.breakpoints]
+        if any(math.isnan(x) for x in rs + vs):
+            raise InputError("breakpoints must not be NaN")
         if rs != sorted(rs) or len(set(rs)) != len(rs):
             raise InputError("breakpoints must be strictly increasing in r")
         if any(vs[i] > vs[i + 1] for i in range(len(vs) - 1)):
             raise InputError("step function values must be nondecreasing")
         if any(r < 0 for r in rs):
             raise InputError("breakpoints must have r >= 0")
+        object.__setattr__(self, "_radii", tuple(rs))
 
     def __call__(self, r: float) -> float:
         if r < 0:
             raise InputError("control functions are defined for r >= 0 only")
-        rs = [bp[0] for bp in self.breakpoints]
-        pos = bisect.bisect_right(rs, r) - 1
+        pos = bisect.bisect_right(self._radii, r) - 1
         if pos < 0:
             return 0.0
         return self.breakpoints[pos][1]
@@ -69,6 +72,10 @@ class LinearControl:
     a: float
     b: float = 0.0
     inclusive: bool = True
+
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise InputError("linear control needs finite a and b")
 
     def __call__(self, r: float) -> float:
         if r < 0:

@@ -354,8 +354,12 @@ def apc_normalize(w: DimSequenceWitness, M: Sequence[float]) -> ApcWitness:
             raise CertificateError(
                 f"family {i + 1} has dimension {d} > {dims[i]} at working scale {R[i]}"
             )
-        colored, _ = make_disjoint(w.families[i], R[i], dims[i])
-        out_families.extend(colored.color_classes())
+        if not w.families[i].union():
+            out_families.extend(FamilyOfSets(w.space, ()) for _ in range(dims[i] + 1))
+            continue
+        fam, lift = on_carrier(w.space, w.families[i].sets)
+        colored, _ = make_disjoint(fam, R[i], dims[i])
+        out_families.extend(lift(c) for c in colored.color_classes())
     scales = tuple(M[:needed])
     out = ApcWitness(w.space, scales, tuple(out_families))
     cert = verify_apc_witness(out)

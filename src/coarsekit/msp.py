@@ -45,6 +45,8 @@ class ProbMeasure:
         w = tuple(float(v) for v in self.weights)
         if len(w) != self.space.n:
             raise InputError("one weight per point required")
+        if not all(math.isfinite(v) for v in w):
+            raise InputError("weights must be finite")
         if any(v < 0 for v in w):
             raise InputError("weights must be nonnegative")
         total = sum(w)
@@ -338,11 +340,11 @@ def msp_pullback(
     """
     if mu.space is not f.domain:
         raise InputError("measure must live on the domain")
-    E = control_upper(f)
+    e = control_upper(f)(R_X)
     if R_Y is None:
-        R_Y = min((d for d in f.codomain.realized_distances() if d > E(R_X)), default=math.inf)
-    elif R_Y <= E(R_X):
-        raise PreconditionError(f"R_Y must be > E(R_X) = {E(R_X)}")
+        R_Y = min((d for d in f.codomain.realized_distances() if d > e), default=math.inf)
+    elif R_Y <= e:
+        raise PreconditionError(f"R_Y must be > E(R_X) = {e}")
     lam = pushforward_measure(f, mu)
     stage1 = best_mass_family(f.codomain, lam, R_Y, K)
     if stage1.mass < 0.5:

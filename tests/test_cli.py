@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from coarsekit.cli import main
+from coarsekit.cli import _COMMANDS, _FLAGS, _control_arg, _float_arg, _scales_arg, main
 
 
 def write(tmp_path, name, obj):
@@ -89,6 +89,63 @@ class TestSpaceCommand:
     def test_unknown_command_is_usage_error(self, capsys):
         code, report, _ = run(capsys, ["frobnicate"])
         assert code == 2
+
+
+def _numeric_flags():
+    """(command, flag) for every float flag and scale list of every command."""
+    return [(name, flag.rstrip("?")) for name, (handler, flags, _) in _COMMANDS.items()
+            if handler for flag in flags.split()
+            if _FLAGS[flag.rstrip("?")].get("type") in (_float_arg, _scales_arg)]
+
+
+def _argv_with(command, target, value):
+    """The command's required flags with placeholder values, input paths that do
+    not exist, and ``value`` at ``target``."""
+    placeholders = {_float_arg: "1", _scales_arg: "1", int: "1",
+                    _control_arg: '{"type": "linear", "a": 1.0}'}
+    argv = command.split()
+    for flag in _COMMANDS[command][1].split():
+        spec = _FLAGS[flag.rstrip("?")]
+        if flag == target:
+            argv += [flag, value]
+        elif spec.get("required") and not flag.endswith("?"):
+            argv += [flag, spec.get("choices", [placeholders.get(spec.get("type"), "in.json")])[0]]
+    return argv
+
+
+class TestNaNIsUsageError:
+    @pytest.mark.parametrize("command, flag", _numeric_flags(),
+                             ids=[f"{c}:{f}" for c, f in _numeric_flags()])
+    def test_nan_in_numeric_flag(self, capsys, command, flag):
+        # the flag parser rejects it before any input file is opened
+        value = "1,nan" if _FLAGS[flag]["type"] is _scales_arg else "nan"
+        code, report, err = run(capsys, _argv_with(command, flag, value))
+        assert code == 2 and report is None
+        assert err == "error: NaN is not a valid number: 'nan'\n"
+
+    def test_nan_scale_no_longer_certifies(self, capsys, tmp_path, path16, fold5):
+        # real inputs on which a NaN scale, once accepted, gives a certified report
+        dom, cod, f = fold5
+        mu = write(tmp_path, "mu.json", {"weights": [1] * 16})
+        for argv in (
+            ["msp", "family", "--space", path16, "--measure", mu, "--big-r", "nan", "--big-s", "3"],
+            ["apc", "witness", "--space", path16, "--scales", "nan", "--mesh-cap", "1"],
+            ["msp", "check", "--domain", dom, "--codomain", cod, "--map", f,
+             "--big-r", "nan", "--big-s", "0", "--c", "0.25", "--big-k", "0"],
+        ):
+            code, report, err = run(capsys, argv)
+            assert code == 2 and report is None
+            assert err.startswith("error:")
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_weight_in_measure_file(self, capsys, tmp_path, path16, weight):
+        mu = write(tmp_path, "mu.json", {"weights": [1] * 15 + [weight]})
+        code, report, err = run(
+            capsys,
+            ["msp", "family", "--space", path16, "--measure", mu, "--big-r", "2", "--big-s", "3"],
+        )
+        assert code == 2 and report is None
+        assert err.startswith("error:") and "weights must be finite" in err
 
 
 class TestCoverCommands:
@@ -184,8 +241,11 @@ class TestMapCommands:
         assert report["error"]["proved"] is True
 
     @pytest.mark.parametrize(
-        "control", ['{"type": "linear"}', '{"type": "step", "breakpoints": [[0, "x"]]}'],
-        ids=["missing-field", "bad-value"],
+        "control", ['{"type": "linear"}', '{"type": "step", "breakpoints": [[0, "x"]]}',
+                    '{"type": "linear", "a": NaN}', '{"type": "linear", "a": 1, "b": Infinity}',
+                    '{"type": "step", "breakpoints": [[NaN, 1]]}',
+                    '{"type": "step", "breakpoints": [[0, 1], [2, NaN]]}'],
+        ids=["missing-field", "bad-value", "nan-a", "inf-b", "nan-radius", "nan-value"],
     )
     def test_malformed_control_is_usage_error(self, capsys, tmp_path, fold5, control):
         dom, cod, f = fold5

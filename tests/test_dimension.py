@@ -131,6 +131,19 @@ class TestApcNormalize:
         assert len(out.families) == 1
         assert out.union() == frozenset(range(12))
 
+    def test_families_that_cover_only_jointly(self):
+        # each V_i is disjointified on the points it carries, not on the space
+        sp = path_space(20)
+        V1, V2 = fam(sp, range(0, 8)), fam(sp, range(8, 20))
+        out = apc_normalize(DimSequenceWitness(sp, (1.0, 1.0), (0, 0), (V1, V2)), (1.0, 1.0))
+        assert [f.sets for f in out.families] == [V1.sets, V2.sets]
+
+    def test_family_of_empty_sets(self):
+        sp = path_space(12)
+        empty, full = fam(sp, ()), fam(sp, range(12))
+        out = apc_normalize(DimSequenceWitness(sp, (2.0, 2.0), (0, 0), (empty, full)), (2.0, 2.0))
+        assert [f.sets for f in out.families] == [(), full.sets]
+
     def test_too_few_gaps_rejected(self):
         sp = path_space(31)
         V1 = fam(sp, range(0, 16), range(16, 31))

@@ -13,7 +13,9 @@ normalize``), R-disjointness with its witness (``tree verify``) and the
 unfolded tree cover (``tree cover``).  Further cases pin the tree
 constructions (``tree refine`` on a ``contains``-mode tree, ``tree convert``
 with branching 3, ``tree push``, ``tree pull``) and the transfers along maps
-(``quotient``, ``apc push``, ``apc pull``, ``msp pull``).
+(``quotient``, ``apc push``, ``apc pull``, ``msp pull``, ``map push``,
+``map factor``, ``map profile``), and ``space`` and a small ``suite`` run
+complete the set: every command has a case.
 
 To record the files again after an intended report change, run this module
 as a script: ``PYTHONPATH=src python tests/test_golden_reports.py``.
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from coarsekit.cli import main
+from coarsekit.cli import _COMMANDS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -181,6 +183,22 @@ CASES = {
         {**_fold(range(-9, 10)), "mu.json": {"weights": [1 + i % 3 for i in range(19)]}},
         ["msp", "pull", *_MAP, "--measure", "mu.json",
          "--big-r", "1", "--big-k", "9", "--big-s", "6"], 0),
+    "space": (
+        {"sp.json": _cloud(_GRID, "l1")},
+        ["space", "--space", "sp.json"], 0),
+    "map-profile": (
+        _fold(range(-7, 8)),
+        ["map", "profile", *_MAP, "--r", "2", "--big-r", "3"], 0),
+    "map-push": (
+        {**_fold(range(-10, 11)),
+         "cov.json": {"sets": [list(range(0, 8)), list(range(6, 15)), list(range(13, 21))]}},
+        ["map", "push", *_MAP, "--cover", "cov.json", "--r", "1", "--n", "2",
+         "--control", _LINEAR1], 0),
+    "map-factor": (
+        _fold(range(-7, 8)),
+        ["map", "factor", *_MAP, "--big-r", "2", "--n", "2"], 0),
+    "suite": (
+        {}, ["suite", "--name", "disjointify", "--seed", "7", "--count", "3"], 0),
 }
 
 
@@ -204,6 +222,12 @@ def test_report_matches_golden(tmp_path, case):
     code, stdout = _run(tmp_path, files, argv)
     assert code == want_code
     assert stdout == (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+
+
+def test_every_command_has_a_golden_case():
+    covered = {" ".join(argv[:2]) if " ".join(argv[:2]) in _COMMANDS else argv[0]
+               for _, argv, _ in CASES.values()}
+    assert {name for name, (handler, _, _) in _COMMANDS.items() if handler} <= covered
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from coarsekit import (
     pushforward_measure,
     transfer_measure_selection,
 )
+from coarsekit import msp as msp_module
 from coarsekit.coarse_maps import CoarseMap, group_quotient
 from coarsekit.covers import FamilyOfSets
 from coarsekit.generators import (
@@ -67,6 +68,12 @@ class TestProbMeasure:
         sp = path_space(3)
         with pytest.raises(InputError):
             ProbMeasure(sp, (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        # renormalizing by a NaN total would make every weight NaN
+        with pytest.raises(InputError, match="finite"):
+            ProbMeasure(path_space(3), (1.0, weight, 1.0))
 
 
 class TestBestMassFamily:
@@ -229,6 +236,18 @@ class TestMspPullback:
         assert out.mass >= 0.25 - 1e-12
         assert out.family.max_diameter() <= S
         out.verify(mu)
+
+    def test_default_R_Y_evaluates_the_control_once(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            E = control_upper(f)
+            return lambda r: calls.append(r) or E(r)
+
+        monkeypatch.setattr(msp_module, "control_upper", counted)
+        sp = path_space(8)
+        msp_pullback(identity_map(sp), uniform(sp), 1.0, K=float(sp.diam()), S=float(sp.diam()))
+        assert calls == [1.0]
 
     def test_identity_trivial(self):
         sp = path_space(8)
