@@ -15,8 +15,10 @@ from .errors import CertificateError, InputError, PreconditionError, Refusal
 from .metric_core import (
     FiniteMetricSpace,
     Subset,
+    bits,
     diameter,
     hausdorff_distance,
+    point_masks,
     r_components,
 )
 
@@ -131,9 +133,9 @@ def maximal_r_bounded_sets(space: FiniteMetricSpace, r: float, *, within=None):
 def _maximal_cliques(adj):
     """Maximal cliques of a boolean adjacency matrix (diagonal ignored), as
     tuples of row indices: Bron–Kerbosch on bitmasks, pivoting on the vertex
-    of cand | excl with the most neighbours in cand.  Masks are Python ints,
-    so 64 and more vertices do not overflow."""
-    nbr = [sum(1 << j for j in np.flatnonzero(row).tolist() if j != i) for i, row in enumerate(adj)]
+    of cand | excl with the most neighbours in cand.  Neighbour masks come from
+    ``point_masks``, so 64 and more vertices do not overflow."""
+    nbr = [m & ~(1 << i) for i, m in enumerate(point_masks(adj))]
     out = []
 
     def expand(clique, cand, excl):
@@ -142,17 +144,11 @@ def _maximal_cliques(adj):
                 out.append(clique)
             return
         best = -1
-        rest = cand | excl
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for u in bits(cand | excl):
             degree = (nbr[u] & cand).bit_count()
             if degree > best:
                 best, pivot = degree, u
-        todo = cand & ~nbr[pivot]
-        while todo:
-            v = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
+        for v in bits(cand & ~nbr[pivot]):
             expand(clique + (v,), cand & nbr[v], excl & nbr[v])
             cand &= ~(1 << v)
             excl |= 1 << v

@@ -17,7 +17,15 @@ from .controls import as_control
 from .coarse_maps import CoarseMap, control_upper
 from .covers import FamilyOfSets, check_families, dim_at_scale, is_r_disjoint, make_disjoint, on_carrier
 from .errors import CertificateError, InputError, PreconditionError, Refusal
-from .metric_core import FiniteMetricSpace, Subset, components, diameter, r_components
+from .metric_core import (
+    FiniteMetricSpace,
+    Subset,
+    bits,
+    bounded_components,
+    components,
+    point_masks,
+    r_components,
+)
 
 __all__ = [
     "ApcWitness",
@@ -107,12 +115,16 @@ def asdim_at_scale(
     """
     if mesh_cap < 0:
         raise InputError("mesh_cap must be >= 0")
-    greedy = _greedy_partition(space, R, mesh_cap)
+    # near[p]: p and the points within R of it (p's share of a block's expansion);
+    # far[p]: the points too far from p to share a block with it
+    near = [m | 1 << p for p, m in enumerate(point_masks(space.dmat < R))]
+    far = point_masks(space.dmat > mesh_cap)
+    greedy = _greedy_partition(space, near, far)
     res = AsdimResult(dim_at_scale(greedy, R), greedy, exact=space.n <= exact_cap)
     if res.exact:
-        better = _exact_partition_search(space, R, mesh_cap, res.dim)
+        better = _exact_partition_search(near, far, res.dim)
         if better is not None:
-            fam = FamilyOfSets(space, tuple(frozenset(b) for b in better[1]))
+            fam = FamilyOfSets(space, tuple(frozenset(bits(b)) for b in better[1]))
             res = AsdimResult(better[0], fam, exact=True)
     return _check_asdim(R, mesh_cap, res)
 
@@ -133,92 +145,72 @@ def _check_asdim(R, mesh_cap, res: AsdimResult) -> AsdimResult:
     return res
 
 
-def _greedy_partition(space, R, mesh_cap):
-    blocks: list[list[int]] = []
-    expansions: list[set] = []
-    mult = np.zeros(space.n, dtype=int)
+def _greedy_partition(space, near, far):
+    """Each point joins the block whose expansion it raises the multiplicity of
+    least (the first such block), or a new block when that costs less."""
+    blocks: list[int] = []
+    expansions: list[int] = []
+    mult = [0] * space.n
     for p in range(space.n):
         best, best_cost = None, None
-        for b, blk in enumerate(blocks):
-            if any(space.dmat[p, q] > mesh_cap for q in blk):
+        for b, (blk, exp) in enumerate(zip(blocks, expansions)):
+            if far[p] & blk:
                 continue
-            gained = [q for q in range(space.n) if space.dmat[q, p] < R and q not in expansions[b]]
-            cost = max((mult[q] + 1 for q in gained), default=0)
+            cost = max((mult[q] + 1 for q in bits(near[p] & ~exp)), default=0)
             if best_cost is None or cost < best_cost:
                 best, best_cost = b, cost
-        new_cost = max(mult[q] + 1 for q in range(space.n) if space.dmat[q, p] < R)
+        new_cost = max(mult[q] + 1 for q in bits(near[p]))
         if best is None or new_cost < best_cost:
-            blocks.append([])
-            expansions.append(set())
+            blocks.append(0)
+            expansions.append(0)
             best = len(blocks) - 1
-        blocks[best].append(p)
-        for q in range(space.n):
-            if space.dmat[q, p] < R and q not in expansions[best]:
-                expansions[best].add(q)
-                mult[q] += 1
-    blocks = [sorted(set(b)) for b in blocks]
-    return FamilyOfSets(space, tuple(frozenset(b) for b in blocks))
+        for q in bits(near[p] & ~expansions[best]):
+            mult[q] += 1
+        blocks[best] |= 1 << p
+        expansions[best] |= near[p]
+    return FamilyOfSets(space, tuple(frozenset(bits(b)) for b in blocks))
 
 
-def _exact_partition_search(space, R, mesh_cap, upper):
-    """(dim, blocks) of an optimal partition, or None when none beats ``upper``."""
-    n = space.n
-    near = [frozenset(q for q in range(n) if space.dmat[q, p] < R) for p in range(n)]
-    best = {"dim": upper, "blocks": None}
-    blocks: list[list[int]] = []
-    expansions: list[dict] = []  # point -> count of members of the block within R
+def _exact_partition_search(near, far, upper):
+    """(dim, block masks) of an optimal partition, or None when none beats ``upper``.
+
+    Points are placed in index order, each into every block it fits (then a new
+    one); ``mult[q]`` counts the block expansions holding q."""
+    n = len(near)
+    best_dim, best_blocks = upper, None
+    blocks: list[int] = []
+    expansions: list[int] = []
     mult = [0] * n
-    state = {"curmax": 0}
 
-    def place(p, b):
-        undo = []
-        for q in near[p]:
-            exp = expansions[b]
-            exp[q] = exp.get(q, 0) + 1
-            if exp[q] == 1:
-                mult[q] += 1
-                undo.append(q)
-                if mult[q] > state["curmax"]:
-                    state["curmax"] = mult[q]
-        blocks[b].append(p)
-        return undo
-
-    def unplace(p, b, undo, prevmax):
-        blocks[b].pop()
-        for q in near[p]:
-            expansions[b][q] -= 1
-            if expansions[b][q] == 0:
-                del expansions[b][q]
-        for q in undo:
-            mult[q] -= 1
-        state["curmax"] = prevmax
-
-    def dfs(p):
-        if state["curmax"] - 1 >= best["dim"]:
+    def dfs(p, curmax):
+        nonlocal best_dim, best_blocks
+        if curmax - 1 >= best_dim:
             return
         if p == n:
-            if state["curmax"] - 1 < best["dim"]:
-                best["dim"] = state["curmax"] - 1
-                best["blocks"] = [list(b) for b in blocks]
+            best_dim, best_blocks = curmax - 1, list(blocks)
             return
-        for b in range(len(blocks)):
-            if any(space.dmat[p, q] > mesh_cap for q in blocks[b]):
+        for b in range(len(blocks) + 1):
+            if b == len(blocks):
+                blocks.append(0)
+                expansions.append(0)
+            elif far[p] & blocks[b]:
                 continue
-            prevmax = state["curmax"]
-            undo = place(p, b)
-            dfs(p + 1)
-            unplace(p, b, undo, prevmax)
-        blocks.append([])
-        expansions.append({})
-        prevmax = state["curmax"]
-        undo = place(p, len(blocks) - 1)
-        dfs(p + 1)
-        unplace(p, len(blocks) - 1, undo, prevmax)
+            blk, exp = blocks[b], expansions[b]
+            gained = near[p] & ~exp
+            top = curmax
+            for q in bits(gained):
+                mult[q] += 1
+                top = max(top, mult[q])
+            blocks[b], expansions[b] = blk | 1 << p, exp | near[p]
+            dfs(p + 1, top)
+            blocks[b], expansions[b] = blk, exp
+            for q in bits(gained):
+                mult[q] -= 1
         blocks.pop()
         expansions.pop()
 
-    dfs(0)
-    return None if best["blocks"] is None else (best["dim"], best["blocks"])
+    dfs(0, 0)
+    return None if best_blocks is None else (best_dim, best_blocks)
 
 
 def apc_witness(
@@ -241,9 +233,10 @@ def apc_witness(
         raise InputError("scales must be strictly increasing")
     k = len(scales)
     n = space.n
-    assign, residue = _greedy_apc(space, scales, mesh_cap)
+    tests = [bounded_components(space, R, mesh_cap) for R in scales]
+    assign, residue = _greedy_apc(n, tests)
     if residue:
-        assign, proved = _dfs_apc(space, scales, mesh_cap, budget)
+        assign, proved = _dfs_apc(n, tests, budget)
         if assign is None:
             raise Refusal(
                 "no witness exists at these scales and mesh cap"
@@ -261,22 +254,17 @@ def apc_witness(
     return ApcWitness(space, tuple(scales), tuple(families), (cert,))
 
 
-def _component_ok(space, pts, R, mesh_cap):
-    return all(
-        diameter(Subset(space, c)) <= mesh_cap for c in components(space, pts, R, strict=True)
-    )
-
-
-def _greedy_apc(space, scales, mesh_cap):
-    """First fit: each point joins the first family that stays valid with it.
-    Returns (assignment, residue), the residue being the points no family took."""
-    assign = [None] * space.n
-    per_family: list[set] = [set() for _ in scales]
+def _greedy_apc(n, tests):
+    """First fit: each point joins the first family whose test (one per scale,
+    on the family's point mask) still passes with it.  Returns (assignment,
+    residue), the residue being the points no family took."""
+    assign = [None] * n
+    per_family = [0] * len(tests)
     residue = []
-    for p in range(space.n):
-        for i, R in enumerate(scales):
-            if _component_ok(space, per_family[i] | {p}, R, mesh_cap):
-                per_family[i].add(p)
+    for p in range(n):
+        for i, ok in enumerate(tests):
+            if ok(per_family[i] | 1 << p):
+                per_family[i] |= 1 << p
                 assign[p] = i
                 break
         else:
@@ -284,11 +272,10 @@ def _greedy_apc(space, scales, mesh_cap):
     return assign, residue
 
 
-def _dfs_apc(space, scales, mesh_cap, budget):
-    n = space.n
-    k = len(scales)
+def _dfs_apc(n, tests, budget):
+    k = len(tests)
     assign = [None] * n
-    per_family: list[set] = [set() for _ in range(k)]
+    per_family = [0] * k
     nodes = {"used": 0, "exhausted": False}
 
     def dfs(p):
@@ -299,14 +286,14 @@ def _dfs_apc(space, scales, mesh_cap, budget):
             if nodes["used"] > budget:
                 nodes["exhausted"] = True
                 return False
-            trial = per_family[i] | {p}
+            trial = per_family[i] | 1 << p
             # violations are monotone: components only grow as points are added
-            if _component_ok(space, trial, scales[i], mesh_cap):
-                per_family[i].add(p)
+            if tests[i](trial):
+                per_family[i] = trial
                 assign[p] = i
                 if dfs(p + 1):
                     return True
-                per_family[i].discard(p)
+                per_family[i] ^= 1 << p
                 assign[p] = None
             if nodes["exhausted"]:
                 return False

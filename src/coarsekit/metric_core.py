@@ -13,6 +13,13 @@ Strictness conventions used across the whole library (fixed globally):
   a set into an ``R``-disjoint family.  Used for ``apc_witness`` families and
   the families of ``best_mass_family`` and ``msp_pullback``.
 
+The exact searches hold point sets as Python-int bitmasks (bit i is point i):
+``point_masks(rel)`` turns the rows of a boolean relation into masks, ``bits``
+walks a mask's set bits, lowest first, and ``bounded_components(space, R, S)``
+is the mask test "every strict ``R``-component is ``S``-bounded" of the witness
+search (``apc_witness``) and the mass searches (``best_mass_family``,
+``map_msp_check``).
+
 All comparisons are exact comparisons on the stored float values, with no
 epsilon: exact for l1/linf clouds and rational-valued matrices and graphs.  l2
 cloud distances are rounded square roots, so l2 comparisons at equality follow
@@ -41,6 +48,9 @@ __all__ = [
     "components",
     "r_components",
     "diameter",
+    "point_masks",
+    "bits",
+    "bounded_components",
 ]
 
 
@@ -275,6 +285,52 @@ def components(
     for pos, p in enumerate(idx):
         classes.setdefault(find(pos), []).append(p)
     return tuple(frozenset(c) for c in classes.values())
+
+
+def point_masks(rel) -> list[int]:
+    """Row i of the boolean matrix ``rel`` as a Python-int mask: bit j is set
+    when ``rel[i, j]`` is."""
+    packed = np.packbits(rel, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def bounded_components(space: FiniteMetricSpace, R: float, S: float):
+    """Mask test: every chain component (steps < R) of the point mask has
+    diameter <= S.
+
+    Strict steps match the disjointness convention (disjoint = cross distance
+    >= R): the strict components of any feasible union form an R-disjoint
+    family of S-bounded sets.  The exact searches test up to 2^16 masks, so the
+    near (d < R) and far (d > S) relations are bitmasks built once per call.
+    """
+    near = point_masks(space.dmat < R)
+    far = point_masks(~(space.dmat <= S))  # not "> S": a NaN bound bounds nothing
+
+    def feasible(mask):
+        left = mask
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                i = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
+                new = near[i] & mask & ~comp
+                comp |= new
+                frontier |= new
+            for i in bits(comp):
+                if far[i] & comp:
+                    return False
+            left &= ~comp
+        return True
+
+    return feasible
 
 
 def r_components(A: Subset, R: float) -> tuple[Subset, ...]:

@@ -14,7 +14,7 @@ import numpy as np
 from .coarse_maps import CoarseMap, control_upper, graph_coloring, maximal_r_bounded_sets
 from .covers import FamilyOfSets, is_r_disjoint, make_disjoint, mesh, on_carrier
 from .errors import CertificateError, InputError, PreconditionError
-from .metric_core import FiniteMetricSpace, Subset, components, diameter
+from .metric_core import FiniteMetricSpace, Subset, bits, bounded_components, components, diameter
 
 __all__ = [
     "ProbMeasure",
@@ -91,41 +91,6 @@ class MassFamily:
             raise CertificateError(f"mass {self.mass} below the guaranteed {floor}")
 
 
-def _feasibility(space, R, S):
-    """Mask test: every chain component (steps < R) of the point bitmask has
-    diameter <= S.
-
-    Strict steps match the disjointness convention (disjoint = cross distance
-    >= R): the strict components of any feasible union form an R-disjoint
-    family of S-bounded sets.  The exact searches test up to 2^16 masks, so the
-    near (d < R) and far (d > S) relations are bitmasks built once per call.
-    """
-    n = space.n
-    near = [sum(1 << j for j in range(n) if j != i and space.dmat[i, j] < R) for i in range(n)]
-    far = [sum(1 << j for j in range(n) if j != i and space.dmat[i, j] > S) for i in range(n)]
-
-    def feasible(mask):
-        left = mask
-        while left:
-            comp = frontier = left & -left
-            while frontier:
-                i = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                new = near[i] & mask & ~comp
-                comp |= new
-                frontier |= new
-            rest = comp
-            while rest:
-                i = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if far[i] & comp:
-                    return False
-            left &= ~comp
-        return True
-
-    return feasible
-
-
 def _feasible_masks(feasible, points):
     """Every feasible mask over ``points``, in increasing order.  Feasibility is
     downward closed (dropping a point only splits components and shrinks
@@ -134,10 +99,6 @@ def _feasible_masks(feasible, points):
     for p in sorted(points):
         masks += [m | 1 << p for m in masks if feasible(m | 1 << p)]
     return masks
-
-
-def _mask_to_sets(mask, n):
-    return frozenset(i for i in range(n) if (mask >> i) & 1)
 
 
 def best_mass_family(
@@ -159,11 +120,13 @@ def best_mass_family(
     if n <= exact_cap:
         best_mask, best_mass = 0, -1.0
         # only support points matter for mass; adding zero-weight points never helps
-        for mask in _feasible_masks(_feasibility(space, R, S), mu.support()):
-            m = sum(mu.weights[p] for p in _mask_to_sets(mask, n))
+        for mask in _feasible_masks(bounded_components(space, R, S), mu.support()):
+            # summed over a frozenset: float sums depend on their order, and this
+            # is the order the search has always used
+            m = mu.mass(frozenset(bits(mask)))
             if m > best_mass:
                 best_mask, best_mass = mask, m
-        fam = FamilyOfSets(space, components(space, _mask_to_sets(best_mask, n), R, strict=True))
+        fam = FamilyOfSets(space, components(space, bits(best_mask), R, strict=True))
         out = MassFamily(fam, R, S, max(best_mass, 0.0), exact=True)
         out.verify(mu)
         return out
@@ -437,10 +400,10 @@ def _maximal_feasible_sets(space, pts, R, S):
     """Feasible masks over ``pts`` with no feasible one-point extension, in
     increasing order; by downward closure these are the maximal ones."""
     sub, _ = space.subspace(pts)
-    feas = _feasible_masks(_feasibility(sub, R, S), range(sub.n))
+    feas = _feasible_masks(bounded_components(sub, R, S), range(sub.n))
     known = set(feas)
-    return [m for m in feas
-            if not any((m | 1 << i) in known for i in range(sub.n) if not (m >> i) & 1)]
+    full = (1 << sub.n) - 1
+    return [m for m in feas if not any((m | 1 << i) in known for i in bits(full & ~m))]
 
 
 def _game_value(space, pts, R, S):
@@ -451,9 +414,7 @@ def _game_value(space, pts, R, S):
     # fractional cover: min sum y_O subject to sum over O containing x of y_O >= 1
     Acov = np.zeros((k, len(maximal)))
     for j, m in enumerate(maximal):
-        for i in range(k):
-            if (m >> i) & 1:
-                Acov[i, j] = 1.0
+        Acov[list(bits(m)), j] = 1.0
     res = linprog(
         c=np.ones(len(maximal)),
         A_ub=-Acov,
@@ -467,12 +428,7 @@ def _game_value(space, pts, R, S):
     value = 1.0 / tau
     # dual route: min over measures of max feasible mass
     # variables: weights w (k) and t; minimize t subject to sum_{x in O} w_x <= t
-    Ad = np.zeros((len(maximal), k + 1))
-    for j, m in enumerate(maximal):
-        for i in range(k):
-            if (m >> i) & 1:
-                Ad[j, i] = 1.0
-        Ad[j, k] = -1.0
+    Ad = np.hstack([Acov.T, -np.ones((len(maximal), 1))])
     res2 = linprog(
         c=[0.0] * k + [1.0],
         A_ub=Ad,

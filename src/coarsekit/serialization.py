@@ -40,9 +40,8 @@ __all__ = [
 
 
 def _num(v: float):
-    if v == math.inf:
-        return "inf"
-    return v
+    """Infinities as the strings "inf" and "-inf": JSON has no number for them."""
+    return str(v) if math.isinf(v) else v
 
 
 def _denum(v):
@@ -173,10 +172,12 @@ def _plain(obj):
 
 
 def dumps_report(report: dict) -> str:
-    """Canonical report text: schema-versioned, sorted keys, newline-terminated."""
+    """Canonical report text: schema-versioned, sorted keys, newline-terminated.
+
+    Strict JSON: a NaN that reached a report raises ValueError here."""
     body = {"schema_version": SCHEMA_VERSION}
     body.update(report)
-    return json.dumps(_plain(body), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_plain(body), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def digest(data: bytes) -> str:

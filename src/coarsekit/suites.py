@@ -23,7 +23,7 @@ from .coarse_maps import (
     pushforward_cover,
     verify_n_to_1,
 )
-from .dimension import _component_ok, apc_witness, asdim_at_scale
+from .dimension import apc_witness, asdim_at_scale
 from .errors import CertificateError, PreconditionError, Refusal
 from .generators import (
     action_fixtures,
@@ -37,7 +37,7 @@ from .generators import (
     rotation_action,
     grid_rotation_action,
 )
-from .metric_core import Subset, build_space, diameter, r_components
+from .metric_core import Subset, bounded_components, build_space, diameter, r_components
 from .msp import (
     asdim_to_msp,
     best_mass_family,
@@ -425,15 +425,12 @@ def suite_oracle_agreement(seed: int, count: int = 40) -> dict:
 
 
 def _apc_brute(sp, scales, cap):
-    k = len(scales)
-    for assign in product(range(k), repeat=sp.n):
-        ok = True
-        for i in range(k):
-            pts = frozenset(p for p in range(sp.n) if assign[p] == i)
-            if pts and not _component_ok(sp, pts, scales[i], cap):
-                ok = False
-                break
-        if ok:
+    tests = [bounded_components(sp, R, cap) for R in scales]
+    for assign in product(range(len(scales)), repeat=sp.n):
+        masks = [0] * len(scales)
+        for p, i in enumerate(assign):
+            masks[i] |= 1 << p
+        if all(ok(m) for ok, m in zip(tests, masks)):
             return True
     return False
 

@@ -258,6 +258,22 @@ class TestMapCommands:
         assert code == 2 and report is None
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["map", "profile", "--r=-inf", "--big-r", "3"], "r"),
+         (["map", "control", "--n", "1", "--c-cap=-inf"], "c_cap")],
+        ids=["profile-r", "control-c-cap"],
+    )
+    def test_infinite_parameter_keeps_the_report_json(self, capsys, fold5, argv, flag):
+        dom, cod, f = fold5
+        main([*argv[:2], "--domain", dom, "--codomain", cod, "--map", f, *argv[2:]])
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["parameters"][flag] == "-inf"
+
     def test_control_fold(self, capsys, fold5):
         dom, cod, f = fold5
         code, report, _ = run(

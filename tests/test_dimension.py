@@ -56,6 +56,13 @@ class TestAsdimAtScale:
         assert not res.exact
         assert dim_at_scale(res.cover, 2.0) == res.dim
 
+    @pytest.mark.parametrize("R", [0.0, -1.0])
+    def test_nonpositive_scale_gives_dim_zero(self, R):
+        # no point is within R <= 0 of another, so each expansion is its own set
+        res = asdim_at_scale(path_space(5), R, 2.0)
+        assert res.dim == 0 and res.exact
+        assert dim_at_scale(res.cover, R) == 0
+
     def test_cover_always_valid(self):
         sp = path_space(12)
         for R, cap in [(1.0, 2.0), (2.0, 3.0), (4.0, 6.0)]:

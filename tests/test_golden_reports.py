@@ -6,8 +6,9 @@ compares stdout with ``tests/golden/<case>.json``.  The cases cover the exact
 searches: the partition search and its component relaxation (``map control``),
 the image colouring of ``msp push``, the mass search (``msp family``), the
 maximal feasible sets of the game LP (``msp check``), the greedy and
-depth-first witness search with its refusal residue (``apc witness``), and
-the set-family kernels: multiplicity (``cover dim``, open and closed),
+depth-first witness search with its refusal residue, proved and with the
+search budget spent (``apc witness``), and the set-family kernels:
+multiplicity (``cover dim``, open and closed),
 Lebesgue number, disjointification (``cover disjointify``, ``apc
 normalize``), R-disjointness with its witness (``tree verify``) and the
 unfolded tree cover (``tree cover``).  Further cases pin the tree
@@ -98,6 +99,11 @@ CASES = {
     "apc-witness-refused": (
         {"sp.json": _line(range(10))},
         ["apc", "witness", "--space", "sp.json", "--scales", "2", "--mesh-cap", "0"], 1),
+    "apc-witness-budget": (
+        # the depth-first search runs out of nodes before it can prove a refusal
+        {"sp.json": _line(range(10))},
+        ["apc", "witness", "--space", "sp.json", "--scales", "2,3", "--mesh-cap", "0",
+         "--budget", "5"], 1),
     "cover-disjointify": (
         {"sp.json": _line(range(21)),
          "cov.json": {"sets": [list(range(0, 11)), list(range(5, 16)), list(range(10, 21))]}},

@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, every
-private module-level function or class is used somewhere in the package, and
+private module-level function or class is used somewhere in the package,
+point-set bitmasks are built and walked only in ``metric_core``, and
 importing the CLI loads neither networkx nor scipy.
 
 For imports, ``__init__.py`` is skipped: its imports are the package's
@@ -91,6 +92,31 @@ def test_no_unused_private_definitions():
                     and not any(node.name in names for other, names in reads if other is not node)):
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert not unused, f"private definitions nothing reads: {', '.join(unused)}"
+
+
+def _mask_idioms(tree):
+    """Lines that build a mask with ``sum(1 << ...)`` or walk one with ``x & -x``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sum" and node.args
+                and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+                and isinstance(node.args[0].elt, ast.BinOp)
+                and isinstance(node.args[0].elt.op, ast.LShift)):
+            yield node.lineno
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd) and any(
+            isinstance(neg, ast.UnaryOp) and isinstance(neg.op, ast.USub)
+            and ast.dump(neg.operand) == ast.dump(x)
+            for x, neg in ((node.left, node.right), (node.right, node.left))
+        ):
+            yield node.lineno
+
+
+def test_point_masks_built_only_in_metric_core():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    home = trees.pop("metric_core.py")
+    found = [f"{name}:{line}" for name, tree in trees.items() for line in _mask_idioms(tree)]
+    assert not found, f"use metric_core.point_masks and bits instead: {', '.join(found)}"
+    assert list(_mask_idioms(home)), "the scan no longer sees the walk in metric_core.bits"
 
 
 def test_cli_import_loads_neither_networkx_nor_scipy():

@@ -39,7 +39,9 @@ from coarsekit.coarse_maps import (
     _component_relaxation,
     min_max_diameter_partition,
 )
-from coarsekit.msp import _feasibility, _maximal_feasible_sets
+from coarsekit.dimension import _dfs_apc, _exact_partition_search, _greedy_apc, _greedy_partition
+from coarsekit.metric_core import bits, bounded_components, point_masks
+from coarsekit.msp import _maximal_feasible_sets
 from coarsekit.serialization import tree_to_json
 from coarsekit.trees import _require_valid
 
@@ -203,10 +205,195 @@ def test_partition_searches_match_exhaustive_references(sp, n):
 @settings(max_examples=60, deadline=None)
 @given(small_spaces(), scales, scales)
 def test_maximal_feasible_sets_match_pairwise_filter(sp, R, S):
-    feasible = _feasibility(sp, R, S)
+    feasible = bounded_components(sp, R, S)
     feas = [m for m in range(1, 1 << sp.n) if feasible(m)]
     reference = [m for m in feas if not any(m != o and m & o == m for o in feas)]
     assert _maximal_feasible_sets(sp, list(range(sp.n)), R, S) == reference
+
+
+def _component_ok_reference(space, pts, R, mesh_cap):
+    """The set-based feasibility test that ``bounded_components`` replaced."""
+    return all(
+        diameter(Subset(space, c)) <= mesh_cap for c in components(space, pts, R, strict=True)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_spaces(), scales, st.floats(min_value=-1.0, max_value=30.0, allow_nan=False),
+       st.data())
+def test_bounded_components_matches_components_and_diameter(sp, R, S, data):
+    feasible = bounded_components(sp, R, S)
+    for mask in data.draw(st.lists(st.integers(0, (1 << sp.n) - 1), min_size=1, max_size=20)):
+        pts = list(bits(mask))
+        assert pts == [i for i in range(sp.n) if mask >> i & 1]
+        assert feasible(mask) == _component_ok_reference(sp, pts, R, S)
+    # a NaN bound bounds nothing, as in the reference
+    assert not bounded_components(sp, R, math.nan)(1)
+    assert not _component_ok_reference(sp, [0], R, math.nan)
+
+
+def test_point_masks_rows_and_width():
+    rel = np.zeros((3, 70), dtype=bool)
+    rel[0, [0, 8, 69]] = True
+    rel[2, 7] = True
+    assert point_masks(rel) == [1 | 1 << 8 | 1 << 69, 0, 1 << 7]
+    assert point_masks(np.zeros((0, 0), dtype=bool)) == []
+
+
+def _greedy_partition_reference(space, R, mesh_cap):
+    """The list-and-set greedy partition that the mask version replaced."""
+    blocks, expansions = [], []
+    mult = np.zeros(space.n, dtype=int)
+    for p in range(space.n):
+        best, best_cost = None, None
+        for b, blk in enumerate(blocks):
+            if any(space.dmat[p, q] > mesh_cap for q in blk):
+                continue
+            gained = [q for q in range(space.n) if space.dmat[q, p] < R and q not in expansions[b]]
+            cost = max((mult[q] + 1 for q in gained), default=0)
+            if best_cost is None or cost < best_cost:
+                best, best_cost = b, cost
+        new_cost = max(mult[q] + 1 for q in range(space.n) if space.dmat[q, p] < R)
+        if best is None or new_cost < best_cost:
+            blocks.append([])
+            expansions.append(set())
+            best = len(blocks) - 1
+        blocks[best].append(p)
+        for q in range(space.n):
+            if space.dmat[q, p] < R and q not in expansions[best]:
+                expansions[best].add(q)
+                mult[q] += 1
+    return FamilyOfSets(space, tuple(frozenset(b) for b in blocks))
+
+
+def _exact_partition_search_reference(space, R, mesh_cap, upper):
+    """The place/unplace search with per-block counters that the mask version replaced."""
+    n = space.n
+    near = [frozenset(q for q in range(n) if space.dmat[q, p] < R) for p in range(n)]
+    best = {"dim": upper, "blocks": None}
+    blocks, expansions = [], []
+    mult = [0] * n
+    state = {"curmax": 0}
+
+    def place(p, b):
+        undo = []
+        for q in near[p]:
+            exp = expansions[b]
+            exp[q] = exp.get(q, 0) + 1
+            if exp[q] == 1:
+                mult[q] += 1
+                undo.append(q)
+                state["curmax"] = max(state["curmax"], mult[q])
+        blocks[b].append(p)
+        return undo
+
+    def unplace(p, b, undo, prevmax):
+        blocks[b].pop()
+        for q in near[p]:
+            expansions[b][q] -= 1
+            if expansions[b][q] == 0:
+                del expansions[b][q]
+        for q in undo:
+            mult[q] -= 1
+        state["curmax"] = prevmax
+
+    def dfs(p):
+        if state["curmax"] - 1 >= best["dim"]:
+            return
+        if p == n:
+            best["dim"] = state["curmax"] - 1
+            best["blocks"] = [list(b) for b in blocks]
+            return
+        for b in range(len(blocks)):
+            if any(space.dmat[p, q] > mesh_cap for q in blocks[b]):
+                continue
+            prevmax = state["curmax"]
+            undo = place(p, b)
+            dfs(p + 1)
+            unplace(p, b, undo, prevmax)
+        blocks.append([])
+        expansions.append({})
+        prevmax = state["curmax"]
+        undo = place(p, len(blocks) - 1)
+        dfs(p + 1)
+        unplace(p, len(blocks) - 1, undo, prevmax)
+        blocks.pop()
+        expansions.pop()
+
+    dfs(0)
+    return None if best["blocks"] is None else (best["dim"], best["blocks"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_spaces(), st.floats(min_value=0.5, max_value=30.0), scales)
+def test_partition_searches_on_masks_match_set_references(sp, R, mesh_cap):
+    near = [m | 1 << p for p, m in enumerate(point_masks(sp.dmat < R))]
+    far = point_masks(sp.dmat > mesh_cap)
+    greedy = _greedy_partition(sp, near, far)
+    assert greedy.sets == _greedy_partition_reference(sp, R, mesh_cap).sets
+    # the greedy bound prunes as in asdim_at_scale; an upper bound of n never does
+    for upper in (dim_at_scale(greedy, R), sp.n):
+        got = _exact_partition_search(near, far, upper)
+        want = _exact_partition_search_reference(sp, R, mesh_cap, upper)
+        if want is None:
+            assert got is None
+        else:
+            assert (got[0], [list(bits(b)) for b in got[1]]) == want
+
+
+def _greedy_apc_reference(space, scales, mesh_cap):
+    assign = [None] * space.n
+    per_family = [set() for _ in scales]
+    residue = []
+    for p in range(space.n):
+        for i, R in enumerate(scales):
+            if _component_ok_reference(space, per_family[i] | {p}, R, mesh_cap):
+                per_family[i].add(p)
+                assign[p] = i
+                break
+        else:
+            residue.append(p)
+    return assign, residue
+
+
+def _dfs_apc_reference(space, scales, mesh_cap, budget):
+    n, k = space.n, len(scales)
+    assign = [None] * n
+    per_family = [set() for _ in range(k)]
+    nodes = {"used": 0, "exhausted": False}
+
+    def dfs(p):
+        if p == n:
+            return True
+        for i in range(k):
+            nodes["used"] += 1
+            if nodes["used"] > budget:
+                nodes["exhausted"] = True
+                return False
+            if _component_ok_reference(space, per_family[i] | {p}, scales[i], mesh_cap):
+                per_family[i].add(p)
+                assign[p] = i
+                if dfs(p + 1):
+                    return True
+                per_family[i].discard(p)
+                assign[p] = None
+            if nodes["exhausted"]:
+                return False
+        return False
+
+    if dfs(0):
+        return assign, True
+    return None, not nodes["exhausted"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_spaces(), st.lists(scales, min_size=1, max_size=3, unique=True),
+       st.floats(min_value=0.0, max_value=12.0), st.sampled_from([1, 3, 10, 60, 10**4]))
+def test_apc_searches_on_masks_match_set_references(sp, scale_list, mesh_cap, budget):
+    scale_list = sorted(scale_list)
+    tests = [bounded_components(sp, R, mesh_cap) for R in scale_list]
+    assert _greedy_apc(sp.n, tests) == _greedy_apc_reference(sp, scale_list, mesh_cap)
+    assert _dfs_apc(sp.n, tests, budget) == _dfs_apc_reference(sp, scale_list, mesh_cap, budget)
 
 
 def _graph_space(n, edges):
