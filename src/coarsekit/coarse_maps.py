@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .controls import LinearControl, StepFunction
-from .covers import FamilyOfSets, dim_at_scale, is_r_disjoint, make_disjoint
+from .covers import FamilyOfSets, dim_at_scale, is_r_disjoint, make_disjoint, on_carrier
 from .errors import CertificateError, InputError, PreconditionError, Refusal
 from .metric_core import (
     FiniteMetricSpace,
@@ -387,12 +387,9 @@ def pushforward_cover(f: CoarseMap, U: FamilyOfSets, r: float, n: int, C) -> Fam
     ok, wit = verify_n_to_1(f, n, C, r)
     if not ok:
         raise PreconditionError(f"control verification failed at r={r}: witness {wit}")
-    img_space, old_of_new = f.codomain.subspace(f.image_points())
-    new_of_old = {o: k for k, o in enumerate(old_of_new)}
-    sets = tuple(
-        frozenset(new_of_old[y] for y in f.image_set(s)) for s in U.sets if s
-    )
-    return _check_image_dim(U, FamilyOfSets(img_space, sets), r, n, C)
+    # U covers the domain, so the images carry the whole image f(X)
+    images, _ = on_carrier(f.codomain, [f.image_set(s) for s in U.sets if s])
+    return _check_image_dim(U, images, r, n, C)
 
 
 def _check_image_dim(U: FamilyOfSets, out: FamilyOfSets, r: float, n: int, C) -> FamilyOfSets:

@@ -101,8 +101,6 @@ def as_control(obj):
         if obj.get("type") == "linear":
             return LinearControl(obj["a"], obj.get("b", 0.0), obj.get("inclusive", True))
         if obj.get("type") == "step":
-            bps = tuple(
-                (r, math.inf if v == "inf" else float(v)) for r, v in obj["breakpoints"]
-            )
+            bps = tuple((r, float(v)) for r, v in obj["breakpoints"])
             return StepFunction(bps, obj.get("inclusive", True))
     raise InputError(f"cannot interpret {obj!r} as a control function")

@@ -113,7 +113,7 @@ def asdim_at_scale(
     multiplicity or the mesh), so the exact branch searches partitions only.
     Exact up to ``exact_cap`` points; greedy upper bound with exact=False above.
     """
-    if mesh_cap < 0:
+    if not mesh_cap >= 0:
         raise InputError("mesh_cap must be >= 0")
     # near[p]: p and the points within R of it (p's share of a block's expansion);
     # far[p]: the points too far from p to share a block with it

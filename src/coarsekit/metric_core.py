@@ -18,7 +18,9 @@ The exact searches hold point sets as Python-int bitmasks (bit i is point i):
 walks a mask's set bits, lowest first, and ``bounded_components(space, R, S)``
 is the mask test "every strict ``R``-component is ``S``-bounded" of the witness
 search (``apc_witness``) and the mass searches (``best_mass_family``,
-``map_msp_check``).
+``map_msp_check``).  ``components`` and ``bounded_components`` find their
+components with one walk, ``_mask_components(near, mask)``, which grows each
+component from its least point along the ``near`` masks.
 
 All comparisons are exact comparisons on the stored float values, with no
 epsilon: exact for l1/linf clouds and rational-valued matrices and graphs.  l2
@@ -267,24 +269,9 @@ def components(
     """
     idx = sorted(members)
     sub = space.dmat[np.ix_(idx, idx)]
-    adj = sub < R if strict else sub <= R
-    parent = list(range(len(idx)))
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    rows, cols = np.nonzero(np.triu(adj, 1))
-    for a, b in zip(rows.tolist(), cols.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    classes: dict[int, list[int]] = {}
-    for pos, p in enumerate(idx):
-        classes.setdefault(find(pos), []).append(p)
-    return tuple(frozenset(c) for c in classes.values())
+    near = point_masks(sub < R if strict else sub <= R)
+    comps = _mask_components(near, (1 << len(idx)) - 1)
+    return tuple(frozenset(idx[b] for b in bits(c)) for c in comps)
 
 
 def point_masks(rel) -> list[int]:
@@ -302,6 +289,22 @@ def bits(mask: int):
         mask ^= low
 
 
+def _mask_components(near, mask):
+    """The chain components of ``mask`` as masks, least point first: a step
+    joins i to the points of ``near[i]``."""
+    left = mask
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            i = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = near[i] & mask & ~comp
+            comp |= new
+            frontier |= new
+        yield comp
+        left &= ~comp
+
+
 def bounded_components(space: FiniteMetricSpace, R: float, S: float):
     """Mask test: every chain component (steps < R) of the point mask has
     diameter <= S.
@@ -315,19 +318,10 @@ def bounded_components(space: FiniteMetricSpace, R: float, S: float):
     far = point_masks(~(space.dmat <= S))  # not "> S": a NaN bound bounds nothing
 
     def feasible(mask):
-        left = mask
-        while left:
-            comp = frontier = left & -left
-            while frontier:
-                i = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                new = near[i] & mask & ~comp
-                comp |= new
-                frontier |= new
+        for comp in _mask_components(near, mask):
             for i in bits(comp):
                 if far[i] & comp:
                     return False
-            left &= ~comp
         return True
 
     return feasible

@@ -14,7 +14,15 @@ import numpy as np
 from .coarse_maps import CoarseMap, control_upper, graph_coloring, maximal_r_bounded_sets
 from .covers import FamilyOfSets, is_r_disjoint, make_disjoint, mesh, on_carrier
 from .errors import CertificateError, InputError, PreconditionError
-from .metric_core import FiniteMetricSpace, Subset, bits, bounded_components, components, diameter
+from .metric_core import (
+    FiniteMetricSpace,
+    Subset,
+    bits,
+    bounded_components,
+    components,
+    diameter,
+    neighborhood,
+)
 
 __all__ = [
     "ProbMeasure",
@@ -112,7 +120,7 @@ def best_mass_family(
     greedy (heaviest S-bounded set first, excise everything within R) with a
     lower-bound flag.
     """
-    if R < 0 or S < 0:
+    if not (R >= 0 and S >= 0):
         raise InputError("R and S must be >= 0")
     if mu.space is not space:
         raise InputError("measure must live on the given space")
@@ -147,7 +155,7 @@ def best_mass_family(
             break
         chosen.append(best_set)
         total += best_m
-        remaining -= {q for q in remaining if any(space.dmat[q, p] < R for p in best_set)}
+        remaining -= neighborhood(Subset(space, best_set), R).members
     fam = FamilyOfSets(space, tuple(chosen))
     flags = {"lower_bound": True}
     if not exact_sets:
@@ -363,7 +371,7 @@ def map_msp_check(
     larger instances are probed with adversarial concentrated measures and
     reported inconclusive.
     """
-    if min(R, S, K) < 0 or not (0 < c < 1):
+    if not (R >= 0 and S >= 0 and K >= 0) or not (0 < c < 1):
         raise InputError("need R, S, K >= 0 and 0 < c < 1")
     members = A.members if isinstance(A, Subset) else frozenset(A)
     blocks, exact_blocks = maximal_r_bounded_sets(f.codomain, K, within=members)

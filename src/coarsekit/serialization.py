@@ -44,10 +44,6 @@ def _num(v: float):
     return str(v) if math.isinf(v) else v
 
 
-def _denum(v):
-    return math.inf if v == "inf" else float(v)
-
-
 def space_to_json(space: FiniteMetricSpace) -> dict:
     return {
         "kind": "matrix",
@@ -113,7 +109,7 @@ def tree_from_json(obj: dict, space: FiniteMetricSpace) -> DecompositionTree:
             tuple(tuple(tuple(sub) for sub in subfams) for subfams in table)
             for table in obj["splits"]
         ),
-        terminal_mesh=_denum(obj["terminal_mesh"]),
+        terminal_mesh=float(obj["terminal_mesh"]),
         union_mode=obj.get("union_mode", "equal"),
     )
 

@@ -50,6 +50,7 @@ from .trees import (
     DecompositionTree,
     casdim_to_sfdc,
     grow_level,
+    is_partition_tree,
     partition_refine,
     tree_pullback,
     tree_pushforward,
@@ -239,12 +240,8 @@ def suite_trees_equivalence(seed: int, count: int = 200) -> dict:
             # every sfdc tree is a casdim tree by definition
             if not verify_tree(sf, "casdim").ok:
                 failures.append({"instance": i, "stage": "sfdc-as-casdim"})
-            pr = partition_refine(t)
-            allpts = frozenset(range(t.space.n))
-            for lvl in pr.levels:
-                if lvl.union() != allpts or sum(len(s) for s in lvl.sets) != t.space.n:
-                    failures.append({"instance": i, "stage": "partition"})
-                    break
+            if not is_partition_tree(partition_refine(t)):
+                failures.append({"instance": i, "stage": "partition"})
         except (CertificateError, PreconditionError) as e:
             failures.append({"instance": i, "error": str(e)})
     return {"suite": "trees-equivalence", "seed": seed, "count": count,

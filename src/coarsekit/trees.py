@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .controls import as_control
 from .coarse_maps import CoarseMap, control_upper
-from .covers import FamilyOfSets, _is_int, check_families, is_r_disjoint, make_disjoint
+from .covers import FamilyOfSets, _is_int, check_families, is_r_disjoint, make_disjoint, on_carrier
 from .errors import CertificateError, InputError, PreconditionError
 from .metric_core import FiniteMetricSpace, Subset, neighborhood, r_components
 
@@ -169,16 +169,8 @@ def _certify(t: DecompositionTree, mode: str) -> DecompositionTree:
 
 
 def is_partition_tree(t: DecompositionTree) -> bool:
-    allpts = frozenset(range(t.space.n))
-    for lvl in t.levels:
-        seen = set()
-        total = 0
-        for s in lvl.sets:
-            seen |= s
-            total += len(s)
-        if seen != allpts or total != t.space.n:
-            return False
-    return True
+    """Every level holds each point in exactly one set."""
+    return all((lvl.membership.sum(axis=0) == 1).all() for lvl in t.levels)
 
 
 def grow_level(space: FiniteMetricSpace, children):
@@ -503,25 +495,17 @@ def tree_pushforward(
             U = t.levels[i - 1].sets[U_idx]
             child_ids = [j for sub in t.children_of(i, U_idx) for j in sub]
             child_ids = [j for j in child_ids if t.levels[i].sets[j]]
-            fU = Subset(Y, f.image_set(U))
-            zone = neighborhood(fU, L) if L > 0 else fU
-            sub_space, old_of_new = Y.subspace(zone.members)
-            new_of_old = {o: q for q, o in enumerate(old_of_new)}
-            expanded = []
-            for j in child_ids:
-                img = Subset(Y, f.image_set(t.levels[i].sets[j]))
-                exp = neighborhood(img, L) if L > 0 else img
-                expanded.append(frozenset(new_of_old[y] for y in exp.members & zone.members))
-            fam = FamilyOfSets(sub_space, tuple(expanded))
+            zone = neighborhood(Subset(Y, f.image_set(U)), L).members
+            # the children cover U, so their clipped expansions carry the zone
+            fam, lift = on_carrier(Y, [
+                neighborhood(Subset(Y, f.image_set(t.levels[i].sets[j])), L).members & zone
+                for j in child_ids
+            ])
             colored, trace = make_disjoint(fam, r, n * n_i - 1)
-            # sorted by size, so the subfamilies (colour = size - 1) come in order
-            tuples = sorted(trace.margin_sets, key=lambda tp: (len(tp), tp))
-            subfams: dict[int, list] = {}
-            for T in tuples:
-                lifted = frozenset(old_of_new[q] for q in trace.margin_sets[T])
-                subfams.setdefault(len(T) - 1, []).append(lifted)
+            # the order make_disjoint emits its sets in, colour class by colour class
+            for T in sorted(trace.margin_sets, key=lambda tp: (len(tp), tp)):
                 next_backing.append(child_ids[T[0]])
-            children.append(list(subfams.values()))
+            children.append([lift(c).sets for c in colored.color_classes()])
         level, table = grow_level(Y, children)
         out_levels.append(level)
         out_splits.append(table)

@@ -1,8 +1,13 @@
 import fractions
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coarsekit
 from coarsekit import (
     CertificateError,
     InputError,
@@ -10,6 +15,7 @@ from coarsekit import (
     MassFamily,
     PreconditionError,
     ProbMeasure,
+    asdim_at_scale,
     asdim_to_msp,
     best_mass_family,
     build_space,
@@ -112,6 +118,26 @@ class TestBestMassFamily:
         forged = MassFamily(out.family, out.R, out.S, out.mass + 0.05)
         with pytest.raises(CertificateError):
             forged.verify(uniform(sp))
+
+    def test_greedy_returns_at_zero_scale(self):
+        # in a fresh interpreter with a timeout: the greedy branch once looped
+        # forever at R = 0, because excising d < 0 left the chosen set behind
+        probe = (
+            "from coarsekit import ProbMeasure, best_mass_family\n"
+            "from coarsekit.generators import path_space\n"
+            "for n, cap in ((20, 16), (10, 0), (10, 16)):\n"
+            "    sp = path_space(n)\n"
+            "    out = best_mass_family(sp, ProbMeasure(sp, (1.0,) * n), 0.0, 1.0, exact_cap=cap)\n"
+            "    print(out.exact, repr(out.mass))\n"
+        )
+        src = Path(coarsekit.__file__).parent.parent
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
+        rows = [line.split() for line in out.stdout.splitlines()]
+        assert [exact for exact, _ in rows] == ["False", "False", "True"]
+        greedy20, greedy10, exact10 = (float(m) for _, m in rows)
+        assert math.isclose(greedy20, 1.0, abs_tol=1e-12)
+        assert math.isclose(greedy10, exact10, rel_tol=0, abs_tol=1e-12)
 
 
 class TestAsdimToMsp:
@@ -306,3 +332,18 @@ class TestMapMspCheck:
         f = fold_map(3)
         with pytest.raises(InputError):
             map_msp_check(f, f.codomain.full(), 1.0, 1.0, 1.5, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sp: asdim_at_scale(sp, 1.0, math.nan),
+    lambda sp: best_mass_family(sp, uniform(sp), math.nan, 1.0),
+    lambda sp: best_mass_family(sp, uniform(sp), 1.0, math.nan),
+    lambda sp: map_msp_check(identity_map(sp), sp.full(), math.nan, 1.0, 0.5, 1.0),
+    lambda sp: map_msp_check(identity_map(sp), sp.full(), 1.0, math.nan, 0.5, 1.0),
+    lambda sp: map_msp_check(identity_map(sp), sp.full(), 1.0, 1.0, 0.5, math.nan),
+], ids=["asdim-mesh_cap", "mass-R", "mass-S", "game-R", "game-S", "game-K"])
+def test_nan_parameter_rejected(call):
+    # a NaN bound fails every comparison, so a "< 0" guard let it through to a
+    # certified result
+    with pytest.raises(InputError):
+        call(path_space(8))

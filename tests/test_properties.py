@@ -15,7 +15,9 @@ from coarsekit import (
     FamilyOfSets,
     FiniteMetricSpace,
     PreconditionError,
+    ProbMeasure,
     Subset,
+    best_mass_family,
     build_space,
     casdim_to_sfdc,
     components,
@@ -24,6 +26,7 @@ from coarsekit import (
     dim_at_scale,
     hausdorff_distance,
     inner_neighborhood,
+    is_partition_tree,
     is_r_disjoint,
     lebesgue_number,
     make_disjoint,
@@ -230,6 +233,76 @@ def test_bounded_components_matches_components_and_diameter(sp, R, S, data):
     # a NaN bound bounds nothing, as in the reference
     assert not bounded_components(sp, R, math.nan)(1)
     assert not _component_ok_reference(sp, [0], R, math.nan)
+
+
+def _components_union_find_reference(space, members, R, strict):
+    """The union-find ``components`` that the mask walk replaced."""
+    idx = sorted(members)
+    sub = space.dmat[np.ix_(idx, idx)]
+    adj = sub < R if strict else sub <= R
+    parent = list(range(len(idx)))
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    rows, cols = np.nonzero(np.triu(adj, 1))
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    classes = {}
+    for pos, p in enumerate(idx):
+        classes.setdefault(find(pos), []).append(p)
+    return tuple(frozenset(c) for c in classes.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_spaces(), st.one_of(scales, st.just(0.0), st.floats(-5.0, -0.0), st.just(math.nan)),
+       st.booleans(), st.data())
+def test_components_match_union_find_reference(sp, R, strict, data):
+    members = data.draw(st.frozensets(st.integers(0, sp.n - 1)))
+    got = components(sp, members, R, strict=strict)
+    ref = _components_union_find_reference(sp, members, R, strict)
+    assert got == ref
+    # same sets built in the same order, so they iterate alike (mass sums depend on it)
+    assert [list(c) for c in got] == [list(c) for c in ref]
+
+
+def _greedy_mass_reference(space, mu, R, S):
+    """The greedy branch of ``best_mass_family`` with its own excision loop."""
+    candidates, _ = maximal_r_bounded_sets(space, S)
+    remaining = set(range(space.n))
+    chosen, total = [], 0.0
+    while True:
+        best_set, best_m = None, 0.0
+        for c in candidates:
+            cc = frozenset(c) & frozenset(remaining)
+            if not cc:
+                continue
+            m = mu.mass(cc)
+            if m > best_m:
+                best_set, best_m = cc, m
+        if best_set is None or best_m <= 0.0:
+            break
+        chosen.append(best_set)
+        total += best_m
+        remaining -= {q for q in remaining if any(space.dmat[q, p] < R for p in best_set)}
+    return chosen, total
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_spaces(), st.floats(min_value=0.0, max_value=30.0, exclude_min=True), scales,
+       st.data())
+def test_greedy_mass_excision_matches_distance_loop(sp, R, S, data):
+    weights = data.draw(st.lists(st.integers(0, 8), min_size=sp.n, max_size=sp.n).filter(any))
+    mu = ProbMeasure(sp, tuple(float(w) for w in weights))
+    out = best_mass_family(sp, mu, R, S, exact_cap=0)
+    chosen, total = _greedy_mass_reference(sp, mu, R, S)
+    assert [list(s) for s in out.family.sets] == [list(s) for s in chosen]
+    assert out.mass == total
 
 
 def test_point_masks_rows_and_width():
@@ -735,3 +808,36 @@ def test_casdim_to_sfdc_matches_peel_reference(t):
     except PreconditionError:
         return
     assert _outcome(casdim_to_sfdc, refined) == _outcome(_ref_casdim_to_sfdc, refined)
+
+
+def _is_partition_tree_reference(t):
+    """The set-union and length loop that the membership column sums replaced."""
+    allpts = frozenset(range(t.space.n))
+    for lvl in t.levels:
+        seen = set()
+        total = 0
+        for s in lvl.sets:
+            seen |= s
+            total += len(s)
+        if seen != allpts or total != t.space.n:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_is_partition_tree_matches_union_reference_on_families(F):
+    # one-level trees: overlaps, uncovered points and empty sets all occur
+    t = DecompositionTree(F.space, (F,), (), (), (), terminal_mesh=0.0)
+    assert is_partition_tree(t) is _is_partition_tree_reference(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(decomposition_trees())
+def test_is_partition_tree_matches_union_reference_on_trees(t):
+    assert is_partition_tree(t) is _is_partition_tree_reference(t)
+    try:
+        refined = partition_refine(t)
+    except PreconditionError:
+        return
+    assert is_partition_tree(refined) and _is_partition_tree_reference(refined)
