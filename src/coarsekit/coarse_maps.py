@@ -182,11 +182,12 @@ def n_to_1_profile(f: CoarseMap, r: float, R: float) -> NTo1Profile:
     return NTo1Profile(worst_count, worst_diam, witness, exact)
 
 
-def graph_coloring(adj, k: int):
-    """A k-colouring (colour per vertex) of the graph with adjacency sets
-    ``adj``, or None when none exists.  Backtracking over vertices by
-    decreasing degree, least free colour first, a new colour at most one above
-    the largest in use."""
+def graph_coloring(rel, k: int):
+    """A k-colouring (colour per vertex) of the graph of the boolean relation
+    ``rel`` (diagonal ignored), or None when none exists.  Backtracking over
+    vertices by decreasing degree, least free colour first, a new colour at
+    most one above the largest in use."""
+    adj = [{j for j, e in enumerate(row) if e and j != i} for i, row in enumerate(rel.tolist())]
     n = len(adj)
     colors = [None] * n
     order = sorted(range(n), key=lambda v: -len(adj[v]))
@@ -248,10 +249,9 @@ def min_max_diameter_partition(space: FiniteMetricSpace, members: frozenset, n: 
     if n >= k:
         return 0.0, [frozenset({p}) for p in pts]
     block = space.dmat[np.ix_(pts, pts)]
-    rows = block.tolist()
 
     def parts_within(c):
-        colors = graph_coloring([{j for j, d in enumerate(row) if d > c} for row in rows], n)
+        colors = graph_coloring(block > c, n)
         if colors is None:
             return None
         parts = {}
@@ -388,7 +388,7 @@ def pushforward_cover(f: CoarseMap, U: FamilyOfSets, r: float, n: int, C) -> Fam
     if not ok:
         raise PreconditionError(f"control verification failed at r={r}: witness {wit}")
     # U covers the domain, so the images carry the whole image f(X)
-    images, _ = on_carrier(f.codomain, [f.image_set(s) for s in U.sets if s])
+    images = on_carrier(f.codomain, [f.image_set(s) for s in U.sets if s])
     return _check_image_dim(U, images, r, n, C)
 
 

@@ -3,11 +3,11 @@
 A family is held as one boolean ``membership`` matrix (sets x points), and
 every scale statistic reads it or its R-expansion ``expansion(R)``
 (``M | (M @ (d < R) > 0)``, ``<=`` when closed): the multiplicity
-(``dim_at_scale``) is the column sums of the expansion, R-disjointness asks
-whether an expansion row meets another membership row, and the distances to
-the complements of the rows (``_dist_outside``) give both the Lebesgue number
-(membership rows) and the level functions of the disjointification
-(expansion rows).
+(``dim_at_scale``) is the column sums of the expansion, R-disjointness reads
+``closer_than(R)`` (an expansion row meeting another membership row), and the
+distances to the complements of the rows (``_dist_outside``) give both the
+Lebesgue number (membership rows) and the level functions of the
+disjointification (expansion rows).
 
 The disjointification construction works from the level functions
 ``f_s(x) = dist(x, X \\ B(U_s, R))``.  Membership of a point in a color class
@@ -41,6 +41,7 @@ __all__ = [
     "lebesgue_number",
     "make_disjoint",
     "on_carrier",
+    "split_on_carrier",
     "check_families",
 ]
 
@@ -108,6 +109,16 @@ class FamilyOfSets:
             self._expansions[key] = exp
         return self._expansions[key]
 
+    def closer_than(self, R: float) -> np.ndarray:
+        """Symmetric boolean matrix (sets x sets): True where distinct sets
+        hold points at distance < R, read as an R-expansion row meeting a
+        membership row.  All False when R <= 0."""
+        if R <= 0:
+            return np.zeros((len(self.sets),) * 2, dtype=bool)
+        meets = self.expansion(R).astype(float) @ self.membership.T > 0
+        np.fill_diagonal(meets, False)
+        return meets
+
     def union(self) -> frozenset:
         out = frozenset()
         for s in self.sets:
@@ -136,21 +147,12 @@ class FamilyOfSets:
         return [self.color_class(c) for c in range(self.n_colors or 0)]
 
 
-def on_carrier(space: FiniteMetricSpace, sets):
-    """The family of ``sets`` on the subspace their union carries, and the map
-    lifting a family on that subspace back to a family on ``space``.
-
-    Lets a family that need not cover ``space`` be disjointified: its union
-    covers the carrier.
-    """
+def on_carrier(space: FiniteMetricSpace, sets) -> FamilyOfSets:
+    """The family of ``sets`` on the subspace their union carries, indexed in
+    the order of that sorted union."""
     sub, old_of_new = space.subspace(frozenset().union(*sets))
     new_of_old = {o: q for q, o in enumerate(old_of_new)}
-    fam = FamilyOfSets(sub, tuple(frozenset(new_of_old[y] for y in s) for s in sets))
-
-    def lift(F: FamilyOfSets) -> FamilyOfSets:
-        return FamilyOfSets(space, tuple(frozenset(old_of_new[q] for q in s) for s in F.sets))
-
-    return fam, lift
+    return FamilyOfSets(sub, tuple(frozenset(new_of_old[y] for y in s) for s in sets))
 
 
 def dim_at_scale(F: FamilyOfSets, R: float, *, closed: bool = False) -> int:
@@ -171,10 +173,9 @@ def is_r_disjoint(F: FamilyOfSets, R: float):
     The witness on failure is ((set_a, point_a), (set_b, point_b), distance)
     for the first pair a < b closer than R, and the closest points of that pair.
     """
-    if len(F) < 2 or R <= 0:
+    if len(F) < 2:
         return True, None
-    # meets[a, b]: the R-expansion of set a contains a point of set b
-    meets = np.triu(F.expansion(R).astype(float) @ F.membership.T > 0, 1)
+    meets = np.triu(F.closer_than(R), 1)
     if not meets.any():
         return True, None
     a, b = (int(v) for v in np.argwhere(meets)[0])
@@ -225,7 +226,7 @@ class DisjointificationTrace:
     ``w_sets`` maps each realized index tuple T to the gap set W_T, the points
     whose level values f_s(x) = dist(x, X \\ B(U_s, R)) are all larger on T
     than off it; ``margin_sets`` maps T to the margin subset actually emitted
-    (contained in the inner-shrunk W_T), the output set of color len(T) - 1.
+    (in the inner-shrunk W_T), the output set of color len(T) - 1, in emission order.
     """
 
     R: float
@@ -243,7 +244,7 @@ def make_disjoint(U: FamilyOfSets, R: float, n: Optional[int] = None):
     tuple T.
     """
     sp = U.space
-    if R <= 0:
+    if not R > 0:
         raise PreconditionError("make_disjoint requires R > 0")
     if not U.covers_space():
         raise PreconditionError("make_disjoint requires a cover of the space")
@@ -293,6 +294,19 @@ def make_disjoint(U: FamilyOfSets, R: float, n: Optional[int] = None):
         margin_sets={T: s for T, s in zip(tuples, sets)},
     )
     return out, trace
+
+
+def split_on_carrier(space: FiniteMetricSpace, sets, R: float, n: int):
+    """The pushforward split: ``make_disjoint`` at R and bound n on the subspace
+    the union of ``sets`` carries.  Returns (the n+1 color classes lifted back
+    to ``space``, the trace); sets with no points give n+1 empty classes and
+    an empty trace."""
+    carrier = sorted(frozenset().union(*sets))
+    if not carrier:
+        return [FamilyOfSets(space, ()) for _ in range(n + 1)], DisjointificationTrace(R, n, {}, {})
+    colored, trace = make_disjoint(on_carrier(space, sets), R, n)
+    return [FamilyOfSets(space, tuple(frozenset(carrier[q] for q in s) for s in c.sets))
+            for c in colored.color_classes()], trace
 
 
 def check_families(space: FiniteMetricSpace, families, scales, mesh_cap=None) -> list:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .controls import as_control
 from .coarse_maps import CoarseMap, control_upper
-from .covers import FamilyOfSets, check_families, dim_at_scale, is_r_disjoint, make_disjoint, on_carrier
+from .covers import FamilyOfSets, check_families, dim_at_scale, is_r_disjoint, on_carrier, split_on_carrier
 from .errors import CertificateError, InputError, PreconditionError, Refusal
 from .metric_core import (
     FiniteMetricSpace,
@@ -341,12 +341,8 @@ def apc_normalize(w: DimSequenceWitness, M: Sequence[float]) -> ApcWitness:
             raise CertificateError(
                 f"family {i + 1} has dimension {d} > {dims[i]} at working scale {R[i]}"
             )
-        if not w.families[i].union():
-            out_families.extend(FamilyOfSets(w.space, ()) for _ in range(dims[i] + 1))
-            continue
-        fam, lift = on_carrier(w.space, w.families[i].sets)
-        colored, _ = make_disjoint(fam, R[i], dims[i])
-        out_families.extend(lift(c) for c in colored.color_classes())
+        classes, _ = split_on_carrier(w.space, w.families[i].sets, R[i], dims[i])
+        out_families.extend(classes)
     scales = tuple(M[:needed])
     out = ApcWitness(w.space, scales, tuple(out_families))
     cert = verify_apc_witness(out)
@@ -382,22 +378,17 @@ def apc_pushforward(
             raise PreconditionError(
                 f"family {i} is not D(n*R)={D(r)}-disjoint; witness {wit}"
             )
-        nonempty = tuple(s for s in fam.sets if s)
-        if not nonempty:
-            for j in range(n):
-                out_families.append(FamilyOfSets(f.codomain, ()))
-                audit.append({"from_family": i, "class": j, "certified_by": scales[i * n - 1]})
-            continue
-        images, lift = on_carrier(f.codomain, [f.image_set(s) for s in nonempty])
-        d_img = dim_at_scale(images, r, closed=D.expansion_closed())
-        if d_img > n - 1:
-            raise CertificateError(
-                f"image family dimension {d_img} exceeds n-1={n - 1} at scale {r}"
-            )
-        colored, _ = make_disjoint(images, r, n - 1)
-        for j in range(n):
-            out_families.append(lift(colored.color_class(j)))
-            audit.append({"from_family": i, "class": j, "certified_by": scales[i * n - 1]})
+        images = [f.image_set(s) for s in fam.sets if s]
+        if images:
+            d_img = dim_at_scale(on_carrier(f.codomain, images), r, closed=D.expansion_closed())
+            if d_img > n - 1:
+                raise CertificateError(
+                    f"image family dimension {d_img} exceeds n-1={n - 1} at scale {r}"
+                )
+        classes, _ = split_on_carrier(f.codomain, images, r, n - 1)
+        out_families.extend(classes)
+        audit.extend({"from_family": i, "class": j, "certified_by": scales[i * n - 1]}
+                     for j in range(n))
     out = ApcWitness(f.codomain, tuple(scales), tuple(out_families))
     cert = verify_apc_witness(out)
     return ApcWitness(f.codomain, tuple(scales), tuple(out_families), (cert, tuple(audit)))

@@ -4,7 +4,6 @@ families, the dimension-to-mass constant, and measure transfer along maps.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -12,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coarse_maps import CoarseMap, control_upper, graph_coloring, maximal_r_bounded_sets
-from .covers import FamilyOfSets, is_r_disjoint, make_disjoint, mesh, on_carrier
+from .covers import FamilyOfSets, is_r_disjoint, mesh, split_on_carrier
 from .errors import CertificateError, InputError, PreconditionError
 from .metric_core import (
     FiniteMetricSpace,
@@ -246,6 +245,8 @@ def msp_pushforward(
     expansions, giving S = E(B) + 2*n*R.  Either way the best color class has
     mass >= 1/(2n).
     """
+    if not R >= 0:
+        raise InputError("R must be >= 0")
     if mu.space is not f.codomain or lam.space is not f.domain:
         raise InputError("mu lives on the codomain, lam on the domain")
     witness.verify(lam)
@@ -255,13 +256,7 @@ def msp_pushforward(
         raise PreconditionError(f"witness mass {witness.mass} below 1/2")
     images = [f.image_set(s) for s in witness.family.sets if s]
     Y = f.codomain
-    rows = [sorted(s) for s in images]
-    adj = [set() for _ in rows]
-    for a, b in itertools.combinations(range(len(rows)), 2):
-        if Y.dmat[np.ix_(rows[a], rows[b])].min() < R:
-            adj[a].add(b)
-            adj[b].add(a)
-    coloring = graph_coloring(adj, n)
+    coloring = graph_coloring(FamilyOfSets(Y, tuple(images)).closer_than(R), n)
     if coloring is not None:
         classes = {}
         for idx, c in enumerate(coloring):
@@ -272,11 +267,10 @@ def msp_pushforward(
             c: FamilyOfSets(Y, tuple(sets)) for c, sets in sorted(classes.items())
         }
     else:
-        img_fam, lift = on_carrier(Y, images)
-        colored, _ = make_disjoint(img_fam, n * R, n - 1)
+        classes, _ = split_on_carrier(Y, images, n * R, n - 1)
         S = E(B) + 2 * n * R
         flags = {"route": "disjointify", "bound_slack": n * R}
-        fams = {c: lift(colored.color_class(c)) for c in range(n)}
+        fams = dict(enumerate(classes))
     best_c, best_m = None, -1.0
     for c, fam in fams.items():
         m = mu.mass(fam.union())

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .controls import as_control
 from .coarse_maps import CoarseMap, control_upper
-from .covers import FamilyOfSets, _is_int, check_families, is_r_disjoint, make_disjoint, on_carrier
+from .covers import FamilyOfSets, _is_int, check_families, is_r_disjoint, split_on_carrier
 from .errors import CertificateError, InputError, PreconditionError
 from .metric_core import FiniteMetricSpace, Subset, neighborhood, r_components
 
@@ -497,15 +497,13 @@ def tree_pushforward(
             child_ids = [j for j in child_ids if t.levels[i].sets[j]]
             zone = neighborhood(Subset(Y, f.image_set(U)), L).members
             # the children cover U, so their clipped expansions carry the zone
-            fam, lift = on_carrier(Y, [
+            classes, trace = split_on_carrier(Y, [
                 neighborhood(Subset(Y, f.image_set(t.levels[i].sets[j])), L).members & zone
                 for j in child_ids
-            ])
-            colored, trace = make_disjoint(fam, r, n * n_i - 1)
-            # the order make_disjoint emits its sets in, colour class by colour class
-            for T in sorted(trace.margin_sets, key=lambda tp: (len(tp), tp)):
-                next_backing.append(child_ids[T[0]])
-            children.append([lift(c).sets for c in colored.color_classes()])
+            ], r, n * n_i - 1)
+            # margin_sets is in emission order, colour class by colour class
+            next_backing.extend(child_ids[T[0]] for T in trace.margin_sets)
+            children.append([c.sets for c in classes])
         level, table = grow_level(Y, children)
         out_levels.append(level)
         out_splits.append(table)

@@ -147,6 +147,13 @@ class TestMakeDisjoint:
         with pytest.raises(PreconditionError):
             make_disjoint(F, 2.0, 1)
 
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan])
+    def test_scale_not_positive_rejected(self, R):
+        # NaN used to pass an "R <= 0" guard and fail as an uncovered space
+        sp, F = three_interval_cover()
+        with pytest.raises(PreconditionError, match=r"requires R > 0"):
+            make_disjoint(F, R, 2)
+
     def test_union_of_disjoint_color_classes_has_low_dimension(self):
         rng = random.Random(5)
         for _ in range(20):

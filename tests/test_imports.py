@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 private module-level function or class is used somewhere in the package,
-point-set bitmasks are built and walked only in ``metric_core``, and
-importing the CLI loads neither networkx nor scipy.
+point-set bitmasks are built and walked only in ``metric_core``, a family is
+restricted to its carrier and disjointified only in ``covers.split_on_carrier``,
+and importing the CLI loads neither networkx nor scipy.
 
 For imports, ``__init__.py`` is skipped: its imports are the package's
 re-exports.  A name counts as used when it is read anywhere in the module,
@@ -117,6 +118,25 @@ def test_point_masks_built_only_in_metric_core():
     found = [f"{name}:{line}" for name, tree in trees.items() for line in _mask_idioms(tree)]
     assert not found, f"use metric_core.point_masks and bits instead: {', '.join(found)}"
     assert list(_mask_idioms(home)), "the scan no longer sees the walk in metric_core.bits"
+
+
+def _carrier_splits(tree):
+    """Functions that call both ``on_carrier`` and ``make_disjoint``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = {getattr(c.func, "id", getattr(c.func, "attr", None))
+                      for c in ast.walk(node) if isinstance(c, ast.Call)}
+            if {"on_carrier", "make_disjoint"} <= called:
+                yield f"{node.name} (line {node.lineno})"
+
+
+def test_carrier_split_only_in_covers():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    home = trees.pop("covers.py")
+    found = [f"{name}:{fn}" for name, tree in trees.items() for fn in _carrier_splits(tree)]
+    assert not found, f"use covers.split_on_carrier instead: {', '.join(found)}"
+    assert [fn.split()[0] for fn in _carrier_splits(home)] == ["split_on_carrier"], (
+        "the scan no longer sees the pair in covers.split_on_carrier")
 
 
 def test_cli_import_loads_neither_networkx_nor_scipy():

@@ -341,9 +341,14 @@ class TestMapMspCheck:
     lambda sp: map_msp_check(identity_map(sp), sp.full(), math.nan, 1.0, 0.5, 1.0),
     lambda sp: map_msp_check(identity_map(sp), sp.full(), 1.0, math.nan, 0.5, 1.0),
     lambda sp: map_msp_check(identity_map(sp), sp.full(), 1.0, 1.0, 0.5, math.nan),
-], ids=["asdim-mesh_cap", "mass-R", "mass-S", "game-R", "game-S", "game-K"])
+    lambda sp: msp_pushforward(identity_map(sp), 1, uniform(sp), math.nan,
+                               best_mass_family(sp, uniform(sp), 1.0, 2.0), uniform(sp)),
+    lambda sp: msp_pushforward(identity_map(sp), 1, uniform(sp), -1.0,
+                               best_mass_family(sp, uniform(sp), 1.0, 2.0), uniform(sp)),
+], ids=["asdim-mesh_cap", "mass-R", "mass-S", "game-R", "game-S", "game-K", "push-R",
+        "push-R-negative"])
 def test_nan_parameter_rejected(call):
     # a NaN bound fails every comparison, so a "< 0" guard let it through to a
-    # certified result
+    # certified result; msp_pushforward had no guard, and certified R = -1 too
     with pytest.raises(InputError):
         call(path_space(8))

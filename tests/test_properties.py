@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarsekit import (
     CertificateError,
     CoarseMap,
     DecompositionTree,
+    DisjointificationTrace,
     FamilyOfSets,
     FiniteMetricSpace,
     PreconditionError,
@@ -40,8 +41,10 @@ from coarsekit import (
 from coarsekit.coarse_maps import (
     CLIQUE_ENUM_CAP,
     _component_relaxation,
+    graph_coloring,
     min_max_diameter_partition,
 )
+from coarsekit.covers import split_on_carrier
 from coarsekit.dimension import _dfs_apc, _exact_partition_search, _greedy_apc, _greedy_partition
 from coarsekit.metric_core import bits, bounded_components, point_masks
 from coarsekit.msp import _maximal_feasible_sets
@@ -661,11 +664,112 @@ def test_make_disjoint_matches_per_point_loops(U, Rint):
     n = dim_at_scale(U, R)
     colored, trace = make_disjoint(U, R, n)
     margin, gaps = _ref_disjointification(U, R, n)
-    assert trace.margin_sets == margin
-    assert trace.w_sets == gaps
     order = sorted(margin, key=lambda T: (len(T), T))
+    assert trace.margin_sets == margin
+    assert list(trace.margin_sets) == order
+    assert trace.w_sets == gaps
     assert colored.sets == tuple(margin[T] for T in order)
     assert colored.colors == tuple(len(T) - 1 for T in order)
+
+
+# ---------------------------------------------------------------------------
+# The pushforward split, set closeness and colouring input against the
+# pairwise loop, adjacency sets and restrict-disjointify-lift steps they replaced.
+
+
+def _ref_closer_than(F, R):
+    """One pairwise distance minimum per pair of nonempty sets."""
+    rows = [sorted(s) for s in F.sets]
+    out = np.zeros((len(rows), len(rows)), dtype=bool)
+    for a, b in itertools.combinations(range(len(rows)), 2):
+        if rows[a] and rows[b] and F.space.dmat[np.ix_(rows[a], rows[b])].min() < R:
+            out[a, b] = out[b, a] = True
+    return out
+
+
+def _ref_graph_coloring(adj, k):
+    """The backtracker on adjacency sets."""
+    n = len(adj)
+    colors = [None] * n
+    order = sorted(range(n), key=lambda v: -len(adj[v]))
+
+    def bt(pos):
+        if pos == n:
+            return True
+        v = order[pos]
+        used = {colors[u] for u in adj[v] if colors[u] is not None}
+        upper = min(k, max((c for c in colors if c is not None), default=-1) + 2)
+        for c in range(upper):
+            if c not in used:
+                colors[v] = c
+                if bt(pos + 1):
+                    return True
+                colors[v] = None
+        return False
+
+    return colors if bt(0) else None
+
+
+def _ref_split_on_carrier(space, sets, R, n):
+    """Restrict to the carrier, make_disjoint, lift each colour class back."""
+    carrier = frozenset().union(*sets)
+    if not carrier:
+        return [FamilyOfSets(space, ()) for _ in range(n + 1)], DisjointificationTrace(R, n, {}, {})
+    sub, old_of_new = space.subspace(carrier)
+    new_of_old = {o: q for q, o in enumerate(old_of_new)}
+    fam = FamilyOfSets(sub, tuple(frozenset(new_of_old[y] for y in s) for s in sets))
+    colored, trace = make_disjoint(fam, R, n)
+    lift = [FamilyOfSets(space, tuple(frozenset(old_of_new[q] for q in s) for s in c.sets))
+            for c in colored.color_classes()]
+    return lift, trace
+
+
+def _split_outcome(split, space, sets, R, n):
+    try:
+        classes, trace = split(space, sets, R, n)
+    except PreconditionError as e:
+        return "PreconditionError", str(e)
+    return [c.sets for c in classes], trace, list(trace.margin_sets.items()), trace.w_sets
+
+
+split_scales = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+
+
+@st.composite
+def families_with_duplicates(draw):
+    F = draw(families())
+    dup = draw(st.lists(st.integers(0, len(F) - 1), max_size=2))
+    return FamilyOfSets(F.space, F.sets + tuple(F.sets[k] for k in dup))
+
+
+@settings(max_examples=300, deadline=None)
+@given(families_with_duplicates(), split_scales)
+def test_closer_than_matches_pairwise_minimum_loop(F, R):
+    assert np.array_equal(F.closer_than(R), _ref_closer_than(F, R))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 9).flatmap(
+    lambda n: st.tuples(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                 min_size=n, max_size=n),
+                        st.integers(0, 4))))
+def test_graph_coloring_matrix_matches_adjacency_sets(drawn):
+    cells, k = drawn
+    n = len(cells)
+    # symmetric from the upper triangle; the drawn diagonal must be ignored
+    rel = np.array(cells, dtype=bool).reshape(n, n)
+    rel = np.triu(rel, 1) | np.triu(rel, 1).T | np.diag(np.diag(rel))
+    adj = [{j for j in range(n) if rel[i, j] and j != i} for i in range(n)]
+    assert graph_coloring(rel, k) == _ref_graph_coloring(adj, k)
+
+
+@settings(max_examples=500, deadline=None)
+@given(families_with_duplicates(), split_scales, st.integers(0, 3))
+@example(FamilyOfSets(build_space({"kind": "cloud", "coords": [[0], [1]]}),
+                      (frozenset(), frozenset())), 1.0, 1)
+def test_split_on_carrier_matches_restrict_disjointify_lift(F, R, n):
+    assert (_split_outcome(split_on_carrier, F.space, F.sets, R, n)
+            == _split_outcome(_ref_split_on_carrier, F.space, F.sets, R, n))
 
 
 # ---------------------------------------------------------------------------
