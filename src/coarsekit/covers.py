@@ -5,9 +5,10 @@ every scale statistic reads it or its R-expansion ``expansion(R)``
 (``M | (M @ (d < R) > 0)``, ``<=`` when closed): the multiplicity
 (``dim_at_scale``) is the column sums of the expansion, R-disjointness reads
 ``closer_than(R)`` (an expansion row meeting another membership row), and the
-distances to the complements of the rows (``_dist_outside``) give both the
-Lebesgue number (membership rows) and the level functions of the
-disjointification (expansion rows).
+distances to the complements of the rows (``metric_core._dist_outside``,
+computed on each row's own points, 0 off the row) give both the Lebesgue
+number (membership rows) and the level functions of the disjointification
+(expansion rows).
 
 The disjointification construction works from the level functions
 ``f_s(x) = dist(x, X \\ B(U_s, R))``.  Membership of a point in a color class
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificateError, InputError, PreconditionError
-from .metric_core import FiniteMetricSpace, Subset, diameter
+from .metric_core import FiniteMetricSpace, Subset, _dist_outside, diameter
 
 __all__ = [
     "FamilyOfSets",
@@ -192,16 +193,6 @@ def mesh(F: FamilyOfSets) -> float:
     if any(not s for s in F.sets):
         raise PreconditionError("mesh requires nonempty sets")
     return F.max_diameter()
-
-
-def _dist_outside(space: FiniteMetricSpace, membership: np.ndarray) -> np.ndarray:
-    """dist(x, X \\ U_k) for every row U_k of ``membership`` and every point x;
-    +inf along a row that covers the whole space."""
-    out = np.full(membership.shape, np.inf)
-    for k, row in enumerate(membership):
-        if not row.all():
-            out[k] = space.dmat[:, ~row].min(axis=1)
-    return out
 
 
 def lebesgue_number(F: FamilyOfSets) -> float:

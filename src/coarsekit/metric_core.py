@@ -58,9 +58,9 @@ __all__ = [
 
 def verify_metric(dmat: np.ndarray) -> None:
     """Check the metric axioms, reporting the offending pair/triple on failure."""
-    n = dmat.shape[0]
-    if dmat.ndim != 2 or dmat.shape[1] != n:
+    if dmat.ndim != 2 or dmat.shape[1] != dmat.shape[0]:
         raise MetricError("distance table must be square")
+    n = dmat.shape[0]
     if not np.all(np.isfinite(dmat)):
         raise MetricError("distances must be finite")
     diag = np.diagonal(dmat)
@@ -76,16 +76,22 @@ def verify_metric(dmat: np.ndarray) -> None:
         bad = np.argwhere(off <= 0)[0]
         i, j = int(bad[0]), int(bad[1])
         raise MetricError(f"d({i},{j}) = {dmat[i, j]} <= 0 for distinct points")
-    # Triangle inequality, exhaustive over all triples (one numpy pass per k).
-    for k in range(n):
-        slack = dmat - (dmat[:, k : k + 1] + dmat[k : k + 1, :])
-        if np.any(slack > 0):
-            bad = np.argwhere(slack > 0)[0]
-            i, j = int(bad[0]), int(bad[1])
-            raise MetricError(
-                f"triangle violation at ({i},{k},{j}): "
-                f"d({i},{j}) = {dmat[i, j]} > {dmat[i, k]} + {dmat[k, j]}"
-            )
+    # Triangle inequality, exhaustive over all triples: one numpy pass per k
+    # through two buffers allocated once.  A sum that overflows is +inf, which
+    # bounds every finite distance, so the overflow is no violation.
+    via = np.empty_like(dmat)
+    worse = np.empty(dmat.shape, dtype=bool)
+    with np.errstate(over="ignore"):
+        for k in range(n):
+            np.add(dmat[:, k : k + 1], dmat[k : k + 1, :], out=via)
+            np.less(via, dmat, out=worse)
+            if worse.any():
+                bad = np.argwhere(worse)[0]
+                i, j = int(bad[0]), int(bad[1])
+                raise MetricError(
+                    f"triangle violation at ({i},{k},{j}): "
+                    f"d({i},{j}) = {dmat[i, j]} > {dmat[i, k]} + {dmat[k, j]}"
+                )
 
 
 class FiniteMetricSpace:
@@ -178,6 +184,8 @@ def build_space(descriptor: dict) -> FiniteMetricSpace:
     kind = descriptor["kind"]
     if kind == "matrix":
         dmat = np.asarray(descriptor["matrix"], dtype=float)
+        if dmat.ndim != 2:
+            raise MetricError("distance table must be square")
         labels = descriptor.get("labels", list(range(dmat.shape[0])))
         return FiniteMetricSpace(labels, dmat)
     if kind == "cloud":
@@ -241,13 +249,26 @@ def neighborhood(A: Subset, R: float, *, closed: bool = False) -> Subset:
 def inner_neighborhood(A: Subset, R: float) -> Subset:
     """{x in A : B({x}, R) is contained in A}; the -R shrinking of A."""
     sp = A.space
-    if not A.members:
+    if not A.members or len(A.members) == sp.n:
         return A
-    outside = sorted(set(range(sp.n)) - A.members)
-    if not outside:
-        return A
-    keep = [x for x in A.sorted_members() if np.min(sp.dmat[x, outside]) >= R]
-    return Subset(sp, frozenset(keep))
+    row = np.zeros((1, sp.n), dtype=bool)
+    row[0, list(A.members)] = True
+    keep = row[0] & (_dist_outside(sp, row)[0] >= R)
+    return Subset(sp, frozenset(np.flatnonzero(keep).tolist()))
+
+
+def _dist_outside(space: FiniteMetricSpace, membership: np.ndarray) -> np.ndarray:
+    """dist(x, X \\ U_k) for every row U_k of ``membership`` and every point x
+    of U_k; 0 off the row, where x is its own nearest point of the complement,
+    and +inf along a row that covers the whole space."""
+    out = np.zeros(membership.shape)
+    for k, row in enumerate(membership):
+        if row.all():
+            out[k] = np.inf
+        else:
+            inside = np.flatnonzero(row)
+            out[k, inside] = space.dmat[inside][:, ~row].min(axis=1)
+    return out
 
 
 def hausdorff_distance(A: Subset, B: Subset) -> float:

@@ -61,6 +61,13 @@ class TestSpaceCommand:
         assert report is None
         assert "error:" in err
 
+    @pytest.mark.parametrize("table", [None, 5])
+    def test_scalar_matrix_is_usage_error(self, capsys, tmp_path, table):
+        sp = write(tmp_path, "scalar.json", {"kind": "matrix", "matrix": table})
+        code, report, err = run(capsys, ["space", "--space", sp])
+        assert code == 2 and report is None
+        assert "distance table must be square" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, report, err = run(capsys, ["space", "--space", str(tmp_path / "nope.json")])
         assert code == 2 and report is None and "not found" in err

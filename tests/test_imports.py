@@ -1,8 +1,10 @@
 """Every name a library module imports is used in that module, every
 private module-level function or class is used somewhere in the package,
-point-set bitmasks are built and walked only in ``metric_core``, a family is
-restricted to its carrier and disjointified only in ``covers.split_on_carrier``,
-and importing the CLI loads neither networkx nor scipy.
+point-set bitmasks are built and walked only in ``metric_core``, the distance
+to a complement is read from the distance table only in
+``metric_core._dist_outside``, a family is restricted to its carrier and
+disjointified only in ``covers.split_on_carrier``, and importing the CLI loads
+neither networkx nor scipy.
 
 For imports, ``__init__.py`` is skipped: its imports are the package's
 re-exports.  A name counts as used when it is read anywhere in the module,
@@ -118,6 +120,32 @@ def test_point_masks_built_only_in_metric_core():
     found = [f"{name}:{line}" for name, tree in trees.items() for line in _mask_idioms(tree)]
     assert not found, f"use metric_core.point_masks and bits instead: {', '.join(found)}"
     assert list(_mask_idioms(home)), "the scan no longer sees the walk in metric_core.bits"
+
+
+def _complement_reads(tree):
+    """Functions that subscript ``.dmat`` (or a subscript of it) with an
+    inverted (``~``) mask."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                if not isinstance(sub, ast.Subscript):
+                    continue
+                table = sub.value
+                while isinstance(table, ast.Subscript):
+                    table = table.value
+                if (isinstance(table, ast.Attribute) and table.attr == "dmat"
+                        and any(isinstance(u, ast.UnaryOp) and isinstance(u.op, ast.Invert)
+                                for u in ast.walk(sub.slice))):
+                    yield f"{node.name} (line {sub.lineno})"
+                    break
+
+
+def test_complement_distance_only_in_metric_core():
+    found = [f"{p.name}:{fn}" for p in MODULES
+             for fn in _complement_reads(ast.parse(p.read_text(encoding="utf-8")))]
+    # exactly one: no other function reads it, and the scan still sees the kernel
+    assert [fn.split()[0] for fn in found] == ["metric_core.py:_dist_outside"], (
+        f"read complement distances through metric_core._dist_outside; found {found}")
 
 
 def _carrier_splits(tree):

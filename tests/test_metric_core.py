@@ -1,6 +1,8 @@
 import itertools
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from coarsekit import (
@@ -15,6 +17,7 @@ from coarsekit import (
     r_components,
 )
 from coarsekit.generators import cycle_space, path_space
+from coarsekit.metric_core import verify_metric
 
 
 def integers(lo, hi):
@@ -67,6 +70,21 @@ class TestBuildSpace:
         sp = build_space({"kind": "cloud", "coords": [[50, 27], [80, 47], [107, 65]]})
         assert sp.n == 3
         assert sp.d(0, 1) == math.sqrt(30**2 + 20**2)
+
+    @pytest.mark.parametrize("table", [None, 5, 2.5])
+    def test_scalar_matrix_rejected(self, table):
+        with pytest.raises(MetricError, match="distance table must be square"):
+            build_space({"kind": "matrix", "matrix": table})
+        with pytest.raises(MetricError, match="distance table must be square"):
+            verify_metric(np.asarray(table, dtype=float))
+
+    def test_sums_past_the_float_maximum_are_no_violation(self):
+        # every d(i,k) + d(k,j) overflows to +inf, which bounds every finite distance
+        big = np.full((3, 3), 1e308)
+        np.fill_diagonal(big, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verify_metric(big)
 
     def test_duplicate_cloud_point_rejected(self):
         with pytest.raises(MetricError, match="coincide"):

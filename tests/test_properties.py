@@ -15,6 +15,7 @@ from coarsekit import (
     DisjointificationTrace,
     FamilyOfSets,
     FiniteMetricSpace,
+    MetricError,
     PreconditionError,
     ProbMeasure,
     Subset,
@@ -46,15 +47,21 @@ from coarsekit.coarse_maps import (
 )
 from coarsekit.covers import split_on_carrier
 from coarsekit.dimension import _dfs_apc, _exact_partition_search, _greedy_apc, _greedy_partition
-from coarsekit.metric_core import bits, bounded_components, point_masks
+from coarsekit.metric_core import (
+    _dist_outside,
+    bits,
+    bounded_components,
+    point_masks,
+    verify_metric,
+)
 from coarsekit.msp import _maximal_feasible_sets
 from coarsekit.serialization import tree_to_json
 from coarsekit.trees import _require_valid
 
 
 @st.composite
-def small_spaces(draw):
-    n = draw(st.integers(min_value=2, max_value=8))
+def small_spaces(draw, min_n=2):
+    n = draw(st.integers(min_value=min_n, max_value=8))
     coords = draw(
         st.lists(
             st.tuples(st.integers(0, 20), st.integers(0, 20)),
@@ -560,10 +567,11 @@ def test_control_upper_matches_sorted_pair_loop(X, Y, data, unit):
 
 
 @st.composite
-def families(draw, *, cover=False):
-    """A small space with 1-5 sets: empty, whole-space and overlapping sets all
-    occur; with ``cover`` the uncovered points are added as one more set."""
-    sp = draw(small_spaces())
+def families(draw, *, cover=False, min_n=2):
+    """A space of ``min_n`` to 8 points with 1-5 sets: empty, whole-space and
+    overlapping sets all occur; with ``cover`` the uncovered points are added
+    as one more set."""
+    sp = draw(small_spaces(min_n))
     pts = st.integers(0, sp.n - 1)
     sets = draw(st.lists(
         st.one_of(st.just(frozenset()), st.just(frozenset(range(sp.n))), st.frozensets(pts)),
@@ -670,6 +678,83 @@ def test_make_disjoint_matches_per_point_loops(U, Rint):
     assert trace.w_sets == gaps
     assert colored.sets == tuple(margin[T] for T in order)
     assert colored.colors == tuple(len(T) - 1 for T in order)
+
+
+def _ref_dist_outside(space, membership):
+    """dist(x, X \\ U_k) for every point x, from the full column block of the
+    complement; +inf along a whole-space row."""
+    out = np.full(membership.shape, np.inf)
+    for k, row in enumerate(membership):
+        if not row.all():
+            out[k] = space.dmat[:, ~row].min(axis=1)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(min_n=1), scales, st.booleans())
+@example(FamilyOfSets(build_space({"kind": "cloud", "coords": [[0]]}),
+                      (frozenset(), frozenset({0}))), 1.0, False)
+def test_dist_outside_matches_full_column_reference(F, R, closed):
+    # zeros off each row: a point outside U_k is its own nearest outside point
+    for rows in (F.membership, F.expansion(R, closed=closed)):
+        assert np.array_equal(_dist_outside(F.space, rows), _ref_dist_outside(F.space, rows))
+
+
+# ---------------------------------------------------------------------------
+# The buffered triangle check against the loop that allocated two n x n
+# temporaries per k.
+
+
+def _ref_triangle_check(dmat):
+    with np.errstate(over="ignore"):
+        for k in range(dmat.shape[0]):
+            slack = dmat - (dmat[:, k : k + 1] + dmat[k : k + 1, :])
+            if np.any(slack > 0):
+                bad = np.argwhere(slack > 0)[0]
+                i, j = int(bad[0]), int(bad[1])
+                raise MetricError(
+                    f"triangle violation at ({i},{k},{j}): "
+                    f"d({i},{j}) = {dmat[i, j]} > {dmat[i, k]} + {dmat[k, j]}"
+                )
+
+
+@st.composite
+def triangle_tables(draw):
+    """Symmetric tables with a zero diagonal and positive finite entries, so
+    only the triangle check can reject them: the l1 metric of 1-12 integer
+    points, scaled to integer or fractional values, with up to three entries
+    and their mirrors overwritten to plant violations (1e308 makes the sums
+    through it overflow)."""
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 3))
+    pts = np.array(draw(st.lists(st.tuples(*[st.integers(0, 12)] * dim),
+                                 min_size=n, max_size=n, unique=True)), dtype=float)
+    d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    d *= draw(st.sampled_from([1.0, 3.0, 0.1, 1 / 3, 2.5]))
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            d[i, j] = d[j, i] = draw(st.one_of(
+                st.integers(1, 40).map(float),
+                st.floats(0.01, 40.0),
+                st.just(1e308)))
+    return d
+
+
+def _metric_outcome(check, dmat):
+    try:
+        check(dmat)
+    except MetricError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(triangle_tables())
+@example(np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]))
+@example(np.array([[0.0, 0.3, 0.1], [0.3, 0.0, 0.2], [0.1, 0.2, 0.0]]))
+def test_verify_metric_matches_slack_loop(dmat):
+    assert _metric_outcome(verify_metric, dmat) == _metric_outcome(_ref_triangle_check, dmat)
 
 
 # ---------------------------------------------------------------------------
