@@ -17,7 +17,6 @@ from .metric_core import (
     Subset,
     bits,
     diameter,
-    hausdorff_distance,
     point_masks,
     r_components,
 )
@@ -480,11 +479,19 @@ def _check_factors(f: CoarseMap, p: CoarseMap, q: CoarseMap):
 def _hausdorff_quotient(space: FiniteMetricSpace, classes, labels) -> CoarseMap:
     """Projection of space onto its classes (a partition, in the given order)
     under the Hausdorff metric; class k carries labels[k]."""
-    subs = [Subset(space, c) for c in classes]
-    mat = np.zeros((len(subs), len(subs)))
-    for a in range(len(subs)):
-        for b in range(a + 1, len(subs)):
-            mat[a, b] = mat[b, a] = hausdorff_distance(subs[a], subs[b])
+    if not all(classes):
+        raise PreconditionError("hausdorff quotient requires nonempty classes")
+    # Points grouped class by class: the distance from each point to each class
+    # is one min-reduction over the class's columns, and the directed distance
+    # between classes one max-reduction over its rows.
+    order = [x for c in classes for x in sorted(c)]
+    starts = np.cumsum([0] + [len(c) for c in classes[:-1]])
+    to_class = np.minimum.reduceat(space.dmat[np.ix_(order, order)], starts, axis=1)
+    directed = np.maximum.reduceat(to_class, starts, axis=0)
+    mat = np.maximum(directed, directed.T)
+    # each class holds its own points, so the diagonal is d(x, x); store +0.0
+    # even where the input diagonal holds -0.0
+    np.fill_diagonal(mat, 0.0)
     class_of = {x: k for k, c in enumerate(classes) for x in c}
     quotient = FiniteMetricSpace(labels, mat)
     return CoarseMap(space, quotient, tuple(class_of[x] for x in range(space.n)))

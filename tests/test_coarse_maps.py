@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from coarsekit import (
@@ -27,6 +28,7 @@ from coarsekit import (
     symmetrize_metric,
     verify_n_to_1,
 )
+from coarsekit.coarse_maps import _hausdorff_quotient
 from coarsekit.generators import (
     cycle_space,
     fold_map,
@@ -271,6 +273,18 @@ class TestFactorize:
         f = fold_map(5)
         with pytest.raises(PreconditionError):
             factorize(f, 1.0, n=1)
+
+
+def test_hausdorff_quotient_rejects_an_empty_class():
+    with pytest.raises(PreconditionError, match="nonempty"):
+        _hausdorff_quotient(integers(0, 1), [frozenset({0, 1}), frozenset()], ["a", "b"])
+
+
+def test_hausdorff_quotient_diagonal_is_positive_zero():
+    # a -0.0 diagonal passes verify_metric; the quotient's reports print +0.0
+    sp = build_space({"kind": "matrix", "matrix": [[-0.0, 1, 2], [1, -0.0, 1], [2, 1, -0.0]]})
+    p = _hausdorff_quotient(sp, [frozenset({0}), frozenset({1, 2})], ["a", "b"])
+    assert not np.signbit(np.diagonal(p.codomain.dmat)).any()
 
 
 class TestSymmetrize:

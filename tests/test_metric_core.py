@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coarsekit import (
+    FiniteMetricSpace,
     MetricError,
     PreconditionError,
     Subset,
@@ -77,6 +78,8 @@ class TestBuildSpace:
             build_space({"kind": "matrix", "matrix": table})
         with pytest.raises(MetricError, match="distance table must be square"):
             verify_metric(np.asarray(table, dtype=float))
+        with pytest.raises(MetricError, match="distance table must be square"):
+            FiniteMetricSpace([0], table)
 
     def test_sums_past_the_float_maximum_are_no_violation(self):
         # every d(i,k) + d(k,j) overflows to +inf, which bounds every finite distance

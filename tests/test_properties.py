@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 
@@ -42,12 +43,14 @@ from coarsekit import (
 from coarsekit.coarse_maps import (
     CLIQUE_ENUM_CAP,
     _component_relaxation,
+    _hausdorff_quotient,
     graph_coloring,
     min_max_diameter_partition,
 )
 from coarsekit.covers import split_on_carrier
 from coarsekit.dimension import _dfs_apc, _exact_partition_search, _greedy_apc, _greedy_partition
 from coarsekit.metric_core import (
+    _ROW_BLOCK,
     _dist_outside,
     bits,
     bounded_components,
@@ -701,8 +704,8 @@ def test_dist_outside_matches_full_column_reference(F, R, closed):
 
 
 # ---------------------------------------------------------------------------
-# The buffered triangle check against the loop that allocated two n x n
-# temporaries per k.
+# The symmetric, row-blocked triangle check against the loop that allocated
+# two n x n temporaries per k and scanned every ordered pair.
 
 
 def _ref_triangle_check(dmat):
@@ -755,6 +758,115 @@ def _metric_outcome(check, dmat):
 @example(np.array([[0.0, 0.3, 0.1], [0.3, 0.0, 0.2], [0.1, 0.2, 0.0]]))
 def test_verify_metric_matches_slack_loop(dmat):
     assert _metric_outcome(verify_metric, dmat) == _metric_outcome(_ref_triangle_check, dmat)
+
+
+@st.composite
+def blocked_triangle_tables(draw):
+    """Symmetric l1 tables of 1-160 points, so the triangle check spans one to
+    three row blocks, with up to three changes: a point moved 1e308 away from
+    all others, so every sum through it overflows, or an entry and its mirror
+    raised (by up to 40, or to 1e308) or lowered (violations only at k in
+    {i, j}).  The entry is drawn from the whole table, from two different
+    blocks, or from the last block alone, where every failing k lies past the
+    first block."""
+    n = draw(st.integers(1, 160))
+    xs = np.cumsum(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    ys = np.array(draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)))
+    order = np.array(draw(st.permutations(range(n))))
+    pts = np.stack([xs, ys], axis=1)[order].astype(float)
+    d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    d *= draw(st.sampled_from([1.0, 0.1, 1 / 3]))
+    if n < 2:
+        return d
+    last = (n - 1) // _ROW_BLOCK * _ROW_BLOCK
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.sampled_from(["far", "any", "across", "last"]))
+        if where == "far":
+            p = draw(st.integers(0, n - 1))
+            d[p, :] = d[:, p] = 1e308
+            d[p, p] = 0.0
+            continue
+        if where == "across" and last > 0:
+            i = draw(st.integers(0, last - 1))
+            j = draw(st.integers(i // _ROW_BLOCK * _ROW_BLOCK + _ROW_BLOCK, n - 1))
+        elif where == "last" and n - last >= 2:
+            i, j = draw(st.lists(st.integers(last, n - 1), min_size=2, max_size=2, unique=True))
+        else:
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        d[i, j] = d[j, i] = draw(st.one_of(
+            st.floats(1.0, 40.0).map(lambda grow: d[i, j] + grow),
+            st.floats(0.01, 0.99).map(lambda shrink: d[i, j] * shrink),
+            st.just(1e308)))
+    return d
+
+
+def _path_table(n):
+    return np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+
+
+def _with_entry(d, i, j, value):
+    d = d.copy()
+    d[i, j] = d[j, i] = value
+    return d
+
+
+def _with_far_point(d, p):
+    d = d.copy()
+    d[p, :] = d[:, p] = 1e308
+    d[p, p] = 0.0
+    return d
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocked_triangle_tables())
+# lowered inside the third block: every failing k lies there
+@example(_with_entry(_path_table(150), 130, 140, 0.5))
+# raised across the first and third blocks: only block 0's rows see (i, j)
+@example(_with_entry(_path_table(150), 3, 140, 200.0))
+@example(_with_entry(_path_table(150), 70, 140, 1e308))
+# sums through point 100 overflow before the violation at k = 130 is reached
+@example(_with_entry(_with_far_point(_path_table(150), 100), 130, 140, 0.5))
+def test_verify_metric_matches_slack_loop_across_row_blocks(dmat):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _metric_outcome(verify_metric, dmat) == _metric_outcome(_ref_triangle_check, dmat)
+
+
+# ---------------------------------------------------------------------------
+# The Hausdorff quotient's two reductions against the pairwise loop.
+
+
+def _ref_hausdorff_quotient_matrix(space, classes):
+    subs = [Subset(space, c) for c in classes]
+    mat = np.zeros((len(subs), len(subs)))
+    for a, b in itertools.combinations(range(len(subs)), 2):
+        mat[a, b] = mat[b, a] = hausdorff_distance(subs[a], subs[b])
+    return mat
+
+
+@st.composite
+def spaces_with_partitions(draw):
+    """A space split into one class, into singletons, or by drawn class labels,
+    the classes in a drawn order."""
+    sp = draw(small_spaces(min_n=1))
+    kind = draw(st.sampled_from(["one", "singletons", "drawn"]))
+    if kind == "one":
+        tags = [0] * sp.n
+    elif kind == "singletons":
+        tags = list(range(sp.n))
+    else:
+        tags = draw(st.lists(st.integers(0, sp.n - 1), min_size=sp.n, max_size=sp.n))
+    classes = [frozenset(x for x in range(sp.n) if tags[x] == t) for t in sorted(set(tags))]
+    return sp, draw(st.permutations(classes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces_with_partitions())
+def test_hausdorff_quotient_matches_pairwise_loop(data):
+    sp, classes = data
+    p = _hausdorff_quotient(sp, classes, [f"c{k}" for k in range(len(classes))])
+    assert np.array_equal(p.codomain.dmat, _ref_hausdorff_quotient_matrix(sp, classes))
+    assert all(x in classes[p(x)] for x in range(sp.n))
 
 
 # ---------------------------------------------------------------------------
