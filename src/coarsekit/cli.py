@@ -51,7 +51,6 @@ from .serialization import (
     witness_from_json,
     witness_to_json,
     action_from_json,
-    _plain,
 )
 from .suites import run_suite
 from .trees import (
@@ -87,18 +86,23 @@ def _load_json(path: str):
         raise _UsageError(f"malformed JSON in {path} at line {e.lineno}, column {e.colno}")
 
 
+def _decode(label: str, decode, obj, *ctx):
+    """``decode(obj, *ctx)``; a missing field or bad content is a usage error naming ``label``."""
+    try:
+        return decode(obj, *ctx)
+    except KeyError as e:
+        raise _UsageError(f"{label}: missing field {e}")
+    except (InputError, MetricError, TypeError, ValueError) as e:
+        raise _UsageError(f"{label}: {e}")
+
+
 def _control_arg(value: str):
     """A control given either inline as JSON or as a path to a JSON file."""
     try:
         obj = json.loads(value)
     except json.JSONDecodeError:
         obj, _ = _load_json(value)
-    try:
-        return as_control(obj)
-    except KeyError as e:
-        raise _UsageError(f"control {value}: missing field {e}")
-    except (InputError, TypeError, ValueError) as e:
-        raise _UsageError(f"control {value}: {e}")
+    return _decode(f"control {value}", as_control, obj)
 
 
 def _float_arg(value: str) -> float:
@@ -138,12 +142,7 @@ class _Inputs:
         path = getattr(self.args, attr)
         obj, data = _load_json(path)
         self.digests[attr] = digest(data)
-        try:
-            return decode(obj, *ctx)
-        except KeyError as e:
-            raise _UsageError(f"{path}: missing field {e}")
-        except (InputError, MetricError, TypeError, ValueError) as e:
-            raise _UsageError(f"{path}: {e}")
+        return _decode(path, decode, obj, *ctx)
 
     def load_map(self):
         """The map given by --map between the spaces of --domain and --codomain."""
@@ -194,9 +193,9 @@ def _cmd_map_control(inp, args):
     ctl = n_to_1_control(f, args.n, c_cap=args.c_cap)
     return {
         "n": ctl.n,
-        "control": ctl.step.to_json(),
-        "relaxed_at": list(ctl.relaxed_at),
-        "upper_control": control_upper(f).to_json(),
+        "control": ctl.step,
+        "relaxed_at": ctl.relaxed_at,
+        "upper_control": control_upper(f),
     }
 
 
@@ -206,7 +205,7 @@ def _cmd_map_profile(inp, args):
     return {
         "max_components": prof.max_components,
         "max_component_diam": prof.max_component_diam,
-        "witness_block": sorted(prof.witness) if prof.witness is not None else None,
+        "witness_block": prof.witness,
         "exact": prof.exact,
     }
 
@@ -229,11 +228,11 @@ def _cmd_map_factor(inp, args):
     fac = factorize(f, args.big_r, args.n)
     return {
         "middle": space_to_json(fac.middle),
-        "p_assign": list(fac.p.assign),
-        "q_assign": list(fac.q.assign),
-        "classes": [sorted(c) for c in fac.classes],
+        "p_assign": fac.p.assign,
+        "q_assign": fac.q.assign,
+        "classes": fac.classes,
         "class_diam_bound": fac.class_diam_bound,
-        "selection": list(fac.selection),
+        "selection": fac.selection,
     }
 
 
@@ -243,10 +242,10 @@ def _cmd_quotient(inp, args):
     gq = group_quotient(act)
     return {
         "quotient": space_to_json(gq.quotient),
-        "projection": list(gq.projection.assign),
-        "orbits": [sorted(o) for o in gq.orbits],
+        "projection": gq.projection.assign,
+        "orbits": gq.orbits,
         "group_order": gq.n,
-        "control": gq.control.to_json(),
+        "control": gq.control,
         "symmetrized": space_to_json(gq.symmetrized),
     }
 
@@ -284,8 +283,8 @@ def _cmd_tree_verify(inp, args):
     rep = verify_tree(t, args.mode)
     result = {
         "ok": rep.ok,
-        "violations": _plain(rep.violations),
-        "bounded_levels": list(rep.bounded_levels),
+        "violations": rep.violations,
+        "bounded_levels": rep.bounded_levels,
     }
     if not rep.ok:
         raise CertificateError("tree verification failed", witness=result)
@@ -318,9 +317,9 @@ def _cmd_tree_push(inp, args):
     return {
         "tree": tree_to_json(out),
         "audit": {
-            "required_input_scales": list(audit.required_input_scales),
-            "slacks": list(audit.slacks),
-            "containments": _plain(audit.containments),
+            "required_input_scales": audit.required_input_scales,
+            "slacks": audit.slacks,
+            "containments": audit.containments,
         },
     }
 
@@ -372,8 +371,8 @@ def _cmd_msp_check(inp, args):
     members = args.set if args.set is not None else frozenset(range(f.codomain.n))
     rep = map_msp_check(f, members, args.big_r, args.big_s, args.c, args.big_k)
     if rep["achievable"] is False:
-        raise CertificateError("mass threshold not achievable", witness=_plain(rep))
-    return _plain(rep)
+        raise CertificateError("mass threshold not achievable", witness=rep)
+    return rep
 
 
 def _cmd_suite(inp, args):
@@ -382,7 +381,7 @@ def _cmd_suite(inp, args):
     except KeyError as e:
         raise _UsageError(str(e))
     if rep["failures"]:
-        raise CertificateError("suite reported failures", witness=_plain(rep))
+        raise CertificateError("suite reported failures", witness=rep)
     return rep
 
 
@@ -475,15 +474,8 @@ def _build_parser():
 
 def _parameters(args) -> dict:
     """The command's declared flags and their values, keyed by argparse dest."""
-    out = {}
-    for k in sorted(flag.strip("-?").replace("-", "_") for flag in args.flags.split()):
-        v = getattr(args, k)
-        if hasattr(v, "to_json"):
-            v = v.to_json()
-        elif isinstance(v, frozenset):
-            v = sorted(v)
-        out[k] = v
-    return out
+    dests = (flag.strip("-?").replace("-", "_") for flag in args.flags.split())
+    return {k: getattr(args, k) for k in dests}
 
 
 def main(argv=None) -> int:
@@ -515,7 +507,7 @@ def main(argv=None) -> int:
             "type": "Refusal",
             "message": str(e),
             "proved": e.proved,
-            "witness": _plain(e.witness),
+            "witness": e.witness,
         }
         status = EXIT_VIOLATION
     except (CertificateError, PreconditionError) as e:
@@ -523,7 +515,7 @@ def main(argv=None) -> int:
         report["error"] = {
             "type": type(e).__name__,
             "message": str(e),
-            "witness": _plain(getattr(e, "witness", None)),
+            "witness": getattr(e, "witness", None),
         }
         status = EXIT_VIOLATION
     except (InputError, MetricError) as e:

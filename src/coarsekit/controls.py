@@ -57,11 +57,12 @@ class StepFunction:
         return self.inclusive
 
     def to_json(self) -> dict:
+        """Plain values, infinities included; ``serialization.dumps_report`` encodes them."""
         return {
             "type": "step",
-            "breakpoints": [[r, _enc(v)] for r, v in self.breakpoints],
+            "breakpoints": self.breakpoints,
             "inclusive": self.inclusive,
-            "flags": {str(k): v for k, v in sorted(self.flags.items())},
+            "flags": dict(self.flags),
         }
 
 
@@ -87,10 +88,6 @@ class LinearControl:
 
     def to_json(self) -> dict:
         return {"type": "linear", "a": self.a, "b": self.b, "inclusive": self.inclusive}
-
-
-def _enc(v):
-    return "inf" if v == math.inf else v
 
 
 def as_control(obj):

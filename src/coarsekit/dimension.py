@@ -8,7 +8,7 @@ is re-checked before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,6 +67,11 @@ class ApcWitness:
 def verify_apc_witness(w: ApcWitness, *, mesh_cap: Optional[float] = None) -> dict:
     """Re-check disjointness, boundedness, and coverage; returns the certificate."""
     return {"covers": True, "families": check_families(w.space, w.families, w.scales, mesh_cap)}
+
+
+def _certified(w: ApcWitness, mesh_cap: Optional[float] = None, *extra) -> ApcWitness:
+    """w with its re-checked certificate attached, followed by ``extra``."""
+    return replace(w, certificates=(verify_apc_witness(w, mesh_cap=mesh_cap), *extra))
 
 
 @dataclass(frozen=True)
@@ -249,9 +254,7 @@ def apc_witness(
     for i in range(k):
         pts = [p for p in range(n) if assign[p] == i]
         families.append(FamilyOfSets(space, components(space, pts, scales[i], strict=True)))
-    w = ApcWitness(space, tuple(scales), tuple(families))
-    cert = verify_apc_witness(w, mesh_cap=mesh_cap)
-    return ApcWitness(space, tuple(scales), tuple(families), (cert,))
+    return _certified(ApcWitness(space, tuple(scales), tuple(families)), mesh_cap)
 
 
 def _greedy_apc(n, tests):
@@ -344,9 +347,7 @@ def apc_normalize(w: DimSequenceWitness, M: Sequence[float]) -> ApcWitness:
         classes, _ = split_on_carrier(w.space, w.families[i].sets, R[i], dims[i])
         out_families.extend(classes)
     scales = tuple(M[:needed])
-    out = ApcWitness(w.space, scales, tuple(out_families))
-    cert = verify_apc_witness(out)
-    return ApcWitness(w.space, scales, tuple(out_families), (cert,))
+    return _certified(ApcWitness(w.space, scales, tuple(out_families)))
 
 
 def apc_pushforward(
@@ -389,9 +390,8 @@ def apc_pushforward(
         out_families.extend(classes)
         audit.extend({"from_family": i, "class": j, "certified_by": scales[i * n - 1]}
                      for j in range(n))
-    out = ApcWitness(f.codomain, tuple(scales), tuple(out_families))
-    cert = verify_apc_witness(out)
-    return ApcWitness(f.codomain, tuple(scales), tuple(out_families), (cert, tuple(audit)))
+    return _certified(ApcWitness(f.codomain, tuple(scales), tuple(out_families)), None,
+                      tuple(audit))
 
 
 def apc_pullback(
@@ -425,6 +425,4 @@ def apc_pullback(
                 continue
             pieces.extend(comp.members for comp in r_components(Subset(f.domain, pre), Rm))
         out_families.append(FamilyOfSets(f.domain, tuple(pieces)))
-    out = ApcWitness(f.domain, tuple(scales), tuple(out_families))
-    cert = verify_apc_witness(out, mesh_cap=M)
-    return ApcWitness(f.domain, tuple(scales), tuple(out_families), (cert,))
+    return _certified(ApcWitness(f.domain, tuple(scales), tuple(out_families)), M)

@@ -210,6 +210,8 @@ def build_space(descriptor: dict) -> FiniteMetricSpace:
         return FiniteMetricSpace(labels, dmat)
     if kind == "cloud":
         coords = np.asarray(descriptor["coords"], dtype=float)
+        if not (coords.ndim == 2 and len(coords)):
+            raise InputError("cloud coordinates must be a nonempty list of points, one list each")
         norm = descriptor.get("norm", "l2")
         if norm not in _NORMS:
             raise InputError(f"unknown norm {norm!r}")

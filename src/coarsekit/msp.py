@@ -184,19 +184,23 @@ def asdim_to_msp(cover: FamilyOfSets, R: float, mu: ProbMeasure) -> MassFamily:
     if not cover.covers_space():
         raise PreconditionError("cover must cover the space")
     S = mesh(cover)
-    best_c, best_m = None, -1.0
-    for c in range(cover.n_colors):
-        cls = cover.color_class(c)
+    classes = [cover.color_class(c) for c in range(cover.n_colors)]
+    for c, cls in enumerate(classes):
         ok, wit = is_r_disjoint(cls, R)
         if not ok:
             raise PreconditionError(f"color {c} not {R}-disjoint; witness {wit}")
-        m = mu.mass(cls.union())
-        if m > best_m:
-            best_c, best_m = c, m
-    out = MassFamily(cover.color_class(best_c), R, S, best_m,
+    best_c, best_m = _heaviest(mu, classes)
+    out = MassFamily(classes[best_c], R, S, best_m,
                      flags={"color": best_c, "n_colors": cover.n_colors})
     out.verify(mu, floor=1.0 / cover.n_colors)
     return out
+
+
+def _heaviest(mu: ProbMeasure, families) -> tuple[int, float]:
+    """(index, mass) of the first family whose union has the largest mu-mass."""
+    masses = [mu.mass(fam.union()) for fam in families]
+    best = masses.index(max(masses))
+    return best, masses[best]
 
 
 def transfer_measure_selection(f: CoarseMap, mu: ProbMeasure, selection: Sequence[int]) -> ProbMeasure:
@@ -263,19 +267,12 @@ def msp_pushforward(
             classes.setdefault(c, []).append(images[idx])
         S = E(B) + n * R
         flags = {"route": "coloring"}
-        fams = {
-            c: FamilyOfSets(Y, tuple(sets)) for c, sets in sorted(classes.items())
-        }
+        fams = [FamilyOfSets(Y, tuple(sets)) for _, sets in sorted(classes.items())]
     else:
-        classes, _ = split_on_carrier(Y, images, n * R, n - 1)
+        fams, _ = split_on_carrier(Y, images, n * R, n - 1)
         S = E(B) + 2 * n * R
         flags = {"route": "disjointify", "bound_slack": n * R}
-        fams = dict(enumerate(classes))
-    best_c, best_m = None, -1.0
-    for c, fam in fams.items():
-        m = mu.mass(fam.union())
-        if m > best_m:
-            best_c, best_m = c, m
+    best_c, best_m = _heaviest(mu, fams)
     flags["equality"] = math.isclose(best_m, 1.0 / (2 * n), rel_tol=0, abs_tol=1e-12)
     out = MassFamily(fams[best_c], R, S, best_m, flags=flags)
     out.verify(mu, floor=1.0 / (2 * n))

@@ -1,6 +1,10 @@
 """JSON encoding and decoding for every object the command line exchanges.
 
-All encoders emit plain dicts with sorted, stable content so that serialized
+``dumps_report`` is the one encoder of report values: callers hand it plain
+Python values (tuples, sets, infinities, controls) and its single ``_plain``
+pass writes sets as sorted lists, tuples as lists, infinities as "inf" and
+"-inf", keys as strings and controls through their ``to_json``.  All
+encoders emit plain dicts with sorted, stable content so that serialized
 reports are byte-identical across reruns.  Schema version 1.
 """
 
@@ -163,7 +167,7 @@ def _plain(obj):
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
     if isinstance(obj, (StepFunction, LinearControl)):
-        return obj.to_json()
+        return _plain(obj.to_json())
     return str(obj)
 
 

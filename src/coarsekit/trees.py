@@ -483,12 +483,10 @@ def tree_pushforward(
     containments = []
     # backing[k] = index of the input set at this level whose image anchors output set k
     backing = [0]
-    L = 0.0
     for i in range(1, depth):
         n_i = t.branching[i - 1]
-        R_i = scales[i - 1]
-        r = n * n_i * R_i
-        L_next = L + r
+        r = n * n_i * scales[i - 1]
+        L, L_next = slacks[i - 1], slacks[i]
         next_backing: list[int] = []
         children = []
         for k, U_idx in enumerate(backing):
@@ -509,7 +507,6 @@ def tree_pushforward(
         out_splits.append(table)
         containments.extend((i + 1, k, anchor, L_next) for k, anchor in enumerate(next_backing))
         backing = next_backing
-        L = L_next
     out = DecompositionTree(
         Y,
         tuple(out_levels),

@@ -68,6 +68,13 @@ class TestSpaceCommand:
         assert code == 2 and report is None
         assert "distance table must be square" in err
 
+    @pytest.mark.parametrize("coords", [[], [1, 2, 3]], ids=["empty", "1-d"])
+    def test_cloud_without_point_rows_is_usage_error(self, capsys, tmp_path, coords):
+        sp = write(tmp_path, "cloud.json", {"kind": "cloud", "coords": coords})
+        code, report, err = run(capsys, ["space", "--space", sp])
+        assert code == 2 and report is None
+        assert "nonempty list of points" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, report, err = run(capsys, ["space", "--space", str(tmp_path / "nope.json")])
         assert code == 2 and report is None and "not found" in err

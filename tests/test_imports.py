@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
 private module-level function or class is used somewhere in the package,
-point-set bitmasks are built and walked only in ``metric_core``, the distance
+point-set bitmasks are built and walked only in ``metric_core``, report values
+are encoded only in ``serialization``, the distance
 to a complement is read from the distance table only in
 ``metric_core._dist_outside``, a family is restricted to its carrier and
 disjointified only in ``covers.split_on_carrier``, and importing the CLI loads
@@ -165,6 +166,28 @@ def test_carrier_split_only_in_covers():
     assert not found, f"use covers.split_on_carrier instead: {', '.join(found)}"
     assert [fn.split()[0] for fn in _carrier_splits(home)] == ["split_on_carrier"], (
         "the scan no longer sees the pair in covers.split_on_carrier")
+
+
+def _report_encodings(tree):
+    """Top-level statements that name ``_plain`` or ``_num`` or call ``.to_json()``,
+    each by its definition's name (or "module") and line."""
+    for node in tree.body:
+        where = getattr(node, "name", "module")
+        for sub in ast.walk(node):
+            if {getattr(sub, a, None) for a in ("id", "attr", "name")} & {"_plain", "_num"}:
+                yield f"{where} (line {sub.lineno}) names a report encoder"
+            elif isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "to_json":
+                yield f"{where} (line {sub.lineno}) calls to_json"
+
+
+def test_report_values_encoded_only_in_serialization():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    home = trees.pop("serialization.py")
+    found = [f"{name}:{hit}" for name, tree in trees.items() for hit in _report_encodings(tree)]
+    assert not found, f"pass plain values to serialization.dumps_report instead: {', '.join(found)}"
+    assert any(hit.startswith("_plain ") and hit.endswith("calls to_json")
+               for hit in _report_encodings(home)), (
+        "the scan no longer sees the to_json call in serialization._plain")
 
 
 def test_cli_import_loads_neither_networkx_nor_scipy():

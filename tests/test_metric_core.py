@@ -7,6 +7,7 @@ import pytest
 
 from coarsekit import (
     FiniteMetricSpace,
+    InputError,
     MetricError,
     PreconditionError,
     Subset,
@@ -92,6 +93,11 @@ class TestBuildSpace:
     def test_duplicate_cloud_point_rejected(self):
         with pytest.raises(MetricError, match="coincide"):
             build_space({"kind": "cloud", "coords": [[0, 0], [1, 2], [0, 0]]})
+
+    @pytest.mark.parametrize("coords", [[], [1, 2, 3], 5], ids=["empty", "1-d", "scalar"])
+    def test_cloud_without_point_rows_rejected(self, coords):
+        with pytest.raises(InputError, match="nonempty list of points"):
+            build_space({"kind": "cloud", "coords": coords})
 
     def test_non_finite_cloud_coordinate_rejected(self):
         with pytest.raises(MetricError, match="finite"):
