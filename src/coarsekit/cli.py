@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -26,7 +25,14 @@ from .coarse_maps import (
     pushforward_cover,
 )
 from .dimension import apc_normalize, apc_pullback, apc_pushforward, apc_witness
-from .errors import CertificateError, InputError, MetricError, PreconditionError, Refusal
+from .errors import (
+    CertificateError,
+    InputError,
+    MetricError,
+    PreconditionError,
+    Refusal,
+    check_number,
+)
 from .msp import (
     best_mass_family,
     half_mass_witness,
@@ -108,9 +114,10 @@ def _control_arg(value: str):
 def _float_arg(value: str) -> float:
     """A float; NaN is a usage error, unparsable text stays argparse's "invalid float value"."""
     x = float(value)
-    if math.isnan(x):
+    try:
+        return check_number(x, "number")
+    except InputError:  # float() never returns a non-number, so this is NaN
         raise _UsageError(f"NaN is not a valid number: {value!r}")
-    return x
 
 
 _float_arg.__name__ = "float"  # the type name argparse prints for unparsable text

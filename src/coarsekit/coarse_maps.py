@@ -11,7 +11,7 @@ import numpy as np
 
 from .controls import LinearControl, StepFunction
 from .covers import FamilyOfSets, dim_at_scale, is_r_disjoint, make_disjoint, on_carrier
-from .errors import CertificateError, InputError, PreconditionError, Refusal
+from .errors import CertificateError, InputError, PreconditionError, Refusal, check_number
 from .metric_core import (
     FiniteMetricSpace,
     Subset,
@@ -97,6 +97,7 @@ def control_upper(f: CoarseMap) -> StepFunction:
 
 def pullback_family(f: CoarseMap, V: FamilyOfSets, d: float) -> FamilyOfSets:
     """Preimages of an E(d)-disjoint family are d-disjoint; empty preimages dropped."""
+    check_number(d, "d")
     if V.space is not f.codomain:
         raise InputError("family must live on the codomain")
     E = control_upper(f)
@@ -118,6 +119,7 @@ def maximal_r_bounded_sets(space: FiniteMetricSpace, r: float, *, within=None):
     B(y, r) are used instead (every r-bounded set lies in one; their diameter
     may reach 2r).  Returns (sets, exact_flag).
     """
+    check_number(r, "r")
     pts = sorted(within) if within is not None else list(range(space.n))
     if len(pts) <= CLIQUE_ENUM_CAP:
         adj = space.dmat[np.ix_(pts, pts)] <= r
@@ -167,6 +169,7 @@ class NTo1Profile:
 
 def n_to_1_profile(f: CoarseMap, r: float, R: float) -> NTo1Profile:
     """Worst case, over maximal r-bounded B in Y, of the R-components of f^{-1}(B)."""
+    check_number(R, "R")
     subsets, exact = maximal_r_bounded_sets(f.codomain, r)
     worst_count, worst_diam, witness = 0, 0.0, None
     for B in subsets:
@@ -288,6 +291,8 @@ def n_to_1_control(f: CoarseMap, n: int, *, c_cap: Optional[float] = None) -> NT
     scales in ``relaxed_at``; Refusal when the control reaches ``c_cap``."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
+    if c_cap is not None:
+        check_number(c_cap, "c_cap")
     Y = f.codomain
     scales = sorted({float(v) for v in Y.dmat.ravel()})
     bps = []
@@ -351,6 +356,7 @@ def verify_n_to_1(f: CoarseMap, n: int, C, r: float):
     conservative again, it may reject but never accepts falsely.  Returns
     (ok, witness).
     """
+    check_number(r, "r")
     cr = C(r)
     subsets, exact = maximal_r_bounded_sets(f.codomain, r)
     if not exact:
@@ -379,6 +385,7 @@ def pushforward_cover(f: CoarseMap, U: FamilyOfSets, r: float, n: int, C) -> Fam
     """Image family f(U) on f(X), with the dimension bound
     dim_r(f(U)) <= (dim_{C(r)}(U) + 1) * n - 1 verified.
     """
+    check_number(r, "r")
     if U.space is not f.domain:
         raise InputError("cover must live on the domain")
     if not U.covers_space():
@@ -410,6 +417,7 @@ def pushforward_disjointify(f: CoarseMap, U: FamilyOfSets, r: float, n: int, C):
 
     Returns (colored family on the image subspace, trace, m).
     """
+    check_number(r, "r")
     closed = C.expansion_closed() if hasattr(C, "expansion_closed") else True
     m = dim_at_scale(U, C(r), closed=closed)
     img = pushforward_cover(f, U, r, n, C)
@@ -435,6 +443,7 @@ def factorize(f: CoarseMap, R: float, n: Optional[int] = None) -> Factorization:
     middle space carries the Hausdorff metric of the adjusted metric.  Each
     q-fiber has at most n points (n defaults to the observed maximum).
     """
+    check_number(R, "R")
     X = f.domain
     adj = np.where(np.eye(X.n, dtype=bool), 0.0, np.maximum(1.0, X.dmat))
     Xadj = FiniteMetricSpace(X.labels, adj, validate=False)
@@ -630,7 +639,8 @@ class AsdimZeroReport:
 def asdim_zero_witness(f: CoarseMap, n: int, C, r: float, R: float) -> AsdimZeroReport:
     """Certify the degree-zero behavior: for every maximal r-bounded B, the
     R-components of f^{-1}(B) number at most n and have diameter <= 2nR."""
-    if R < C(r):
+    check_number(r, "r")
+    if check_number(R, "R") < C(r):
         raise PreconditionError(f"R={R} must be at least C(r)={C(r)}")
     prof = n_to_1_profile(f, r, R)
     bound = 2 * n * R

@@ -11,10 +11,9 @@ bound of this control feeds a neighborhood or dimension computation.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, check_number
 
 __all__ = ["StepFunction", "LinearControl", "as_control"]
 
@@ -33,10 +32,8 @@ class StepFunction:
     _radii: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rs = [r for r, _ in self.breakpoints]
-        vs = [v for _, v in self.breakpoints]
-        if any(math.isnan(x) for x in rs + vs):
-            raise InputError("breakpoints must not be NaN")
+        rs = [check_number(r, "breakpoints") for r, _ in self.breakpoints]
+        vs = [check_number(v, "breakpoints") for _, v in self.breakpoints]
         if rs != sorted(rs) or len(set(rs)) != len(rs):
             raise InputError("breakpoints must be strictly increasing in r")
         if any(vs[i] > vs[i + 1] for i in range(len(vs) - 1)):
@@ -46,7 +43,7 @@ class StepFunction:
         object.__setattr__(self, "_radii", tuple(rs))
 
     def __call__(self, r: float) -> float:
-        if r < 0:
+        if check_number(r, "r") < 0:
             raise InputError("control functions are defined for r >= 0 only")
         pos = bisect.bisect_right(self._radii, r) - 1
         if pos < 0:
@@ -75,11 +72,11 @@ class LinearControl:
     inclusive: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise InputError("linear control needs finite a and b")
+        check_number(self.a, "linear control coefficient a", finite=True)
+        check_number(self.b, "linear control coefficient b", finite=True)
 
     def __call__(self, r: float) -> float:
-        if r < 0:
+        if check_number(r, "r") < 0:
             raise InputError("control functions are defined for r >= 0 only")
         return self.a * r + self.b
 

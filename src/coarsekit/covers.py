@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
-from .errors import CertificateError, InputError, PreconditionError
+from .errors import CertificateError, InputError, PreconditionError, check_number, is_int
 from .metric_core import FiniteMetricSpace, Subset, _dist_outside, diameter
 
 __all__ = [
@@ -45,10 +44,6 @@ __all__ = [
     "split_on_carrier",
     "check_families",
 ]
-
-
-def _is_int(v) -> bool:
-    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
 
 
 @dataclass(frozen=True)
@@ -69,7 +64,7 @@ class FamilyOfSets:
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
         n = self.space.n
         for k, s in enumerate(self.sets):
-            bad = [i for i in s if not ((type(i) is int or _is_int(i)) and 0 <= i < n)]
+            bad = [i for i in s if not (is_int(i) and 0 <= i < n)]
             if bad:
                 raise InputError(f"set {k} has members {bad} that are not points of the space")
         if self.colors is not None:
@@ -163,6 +158,7 @@ def dim_at_scale(F: FamilyOfSets, R: float, *, closed: bool = False) -> int:
     ``closed`` switches the expansion to d <= R (used when R comes from a
     control that certifies an attained bound).
     """
+    check_number(R, "R")
     if not len(F):
         raise PreconditionError("dim_at_scale requires a nonempty family")
     return int(F.expansion(R, closed=closed).sum(axis=0).max()) - 1
@@ -174,6 +170,7 @@ def is_r_disjoint(F: FamilyOfSets, R: float):
     The witness on failure is ((set_a, point_a), (set_b, point_b), distance)
     for the first pair a < b closer than R, and the closest points of that pair.
     """
+    check_number(R, "R")
     if len(F) < 2:
         return True, None
     meets = np.triu(F.closer_than(R), 1)
@@ -214,15 +211,12 @@ def lebesgue_number(F: FamilyOfSets) -> float:
 class DisjointificationTrace:
     """Audit record of one make_disjoint run.
 
-    ``w_sets`` maps each realized index tuple T to the gap set W_T, the points
-    whose level values f_s(x) = dist(x, X \\ B(U_s, R)) are all larger on T
-    than off it; ``margin_sets`` maps T to the margin subset actually emitted
-    (in the inner-shrunk W_T), the output set of color len(T) - 1, in emission order.
+    ``margin_sets`` maps each realized index tuple T to the margin set actually
+    emitted, the output set of color len(T) - 1, in emission order.
     """
 
     R: float
     n: int
-    w_sets: dict = field(compare=False)
     margin_sets: dict = field(compare=False)
 
 
@@ -235,7 +229,7 @@ def make_disjoint(U: FamilyOfSets, R: float, n: Optional[int] = None):
     tuple T.
     """
     sp = U.space
-    if not R > 0:
+    if check_number(R, "R") <= 0:
         raise PreconditionError("make_disjoint requires R > 0")
     if not U.covers_space():
         raise PreconditionError("make_disjoint requires a cover of the space")
@@ -262,14 +256,6 @@ def make_disjoint(U: FamilyOfSets, R: float, n: Optional[int] = None):
         T = tuple(sorted(columns[x][: cut + 1]))
         margin_members.setdefault(T, set()).add(int(x))
 
-    # Gap sets W_T for the realized T's, for the audit trail.
-    w_sets = {}
-    for T in margin_members:
-        on_t = np.zeros(len(U), dtype=bool)
-        on_t[list(T)] = True
-        inside = fvals[on_t].min(axis=0) > fvals[~on_t].max(axis=0, initial=0.0)
-        w_sets[T] = frozenset(np.flatnonzero(inside).tolist())
-
     sets, colors, tuples = [], [], []
     for T in sorted(margin_members, key=lambda t: (len(t), t)):
         sets.append(frozenset(margin_members[T]))
@@ -278,12 +264,7 @@ def make_disjoint(U: FamilyOfSets, R: float, n: Optional[int] = None):
     out = FamilyOfSets(sp, tuple(sets), tuple(colors), n_colors=n + 1)
 
     _check_disjointification(U, R, n, out, tuples)
-    trace = DisjointificationTrace(
-        R=R,
-        n=n,
-        w_sets=w_sets,
-        margin_sets={T: s for T, s in zip(tuples, sets)},
-    )
+    trace = DisjointificationTrace(R=R, n=n, margin_sets={T: s for T, s in zip(tuples, sets)})
     return out, trace
 
 
@@ -294,7 +275,7 @@ def split_on_carrier(space: FiniteMetricSpace, sets, R: float, n: int):
     an empty trace."""
     carrier = sorted(frozenset().union(*sets))
     if not carrier:
-        return [FamilyOfSets(space, ()) for _ in range(n + 1)], DisjointificationTrace(R, n, {}, {})
+        return [FamilyOfSets(space, ()) for _ in range(n + 1)], DisjointificationTrace(R, n, {})
     colored, trace = make_disjoint(on_carrier(space, sets), R, n)
     return [FamilyOfSets(space, tuple(frozenset(carrier[q] for q in s) for s in c.sets))
             for c in colored.color_classes()], trace

@@ -16,7 +16,7 @@ import numpy as np
 from .controls import as_control
 from .coarse_maps import CoarseMap, control_upper
 from .covers import FamilyOfSets, check_families, dim_at_scale, is_r_disjoint, on_carrier, split_on_carrier
-from .errors import CertificateError, InputError, PreconditionError, Refusal
+from .errors import CertificateError, InputError, PreconditionError, Refusal, check_number
 from .metric_core import (
     FiniteMetricSpace,
     Subset,
@@ -53,7 +53,8 @@ class ApcWitness:
     certificates: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "scales", tuple(float(r) for r in self.scales))
+        object.__setattr__(self, "scales",
+                           tuple(float(check_number(r, "scales")) for r in self.scales))
         if len(self.scales) != len(self.families):
             raise InputError("one scale per family required")
 
@@ -66,6 +67,8 @@ class ApcWitness:
 
 def verify_apc_witness(w: ApcWitness, *, mesh_cap: Optional[float] = None) -> dict:
     """Re-check disjointness, boundedness, and coverage; returns the certificate."""
+    if mesh_cap is not None:
+        check_number(mesh_cap, "mesh_cap")
     return {"covers": True, "families": check_families(w.space, w.families, w.scales, mesh_cap)}
 
 
@@ -84,6 +87,8 @@ class DimSequenceWitness:
     families: tuple
 
     def __post_init__(self):
+        for R in self.scales:
+            check_number(R, "scales")
         if not (len(self.scales) == len(self.dims) == len(self.families)):
             raise InputError("scales, dims, and families must align")
 
@@ -118,7 +123,8 @@ def asdim_at_scale(
     multiplicity or the mesh), so the exact branch searches partitions only.
     Exact up to ``exact_cap`` points; greedy upper bound with exact=False above.
     """
-    if not mesh_cap >= 0:
+    check_number(R, "R")
+    if check_number(mesh_cap, "mesh_cap") < 0:
         raise InputError("mesh_cap must be >= 0")
     # near[p]: p and the points within R of it (p's share of a block's expansion);
     # far[p]: the points too far from p to share a block with it
@@ -233,7 +239,8 @@ def apc_witness(
     first-fit, then budgeted depth-first search; Refusal reports whether
     infeasibility was proved or the budget ran out.
     """
-    scales = [float(r) for r in scales]
+    scales = [float(check_number(r, "scales")) for r in scales]
+    check_number(mesh_cap, "mesh_cap")
     if scales != sorted(scales) or len(set(scales)) != len(scales):
         raise InputError("scales must be strictly increasing")
     k = len(scales)
@@ -321,7 +328,7 @@ def apc_normalize(w: DimSequenceWitness, M: Sequence[float]) -> ApcWitness:
     R_i; that certificate error names V_i (1-based) and R_i.
     """
     w.validate()
-    M = [float(v) for v in M]
+    M = [float(check_number(v, "M")) for v in M]
     if M != sorted(M):
         raise InputError("target gaps must be nondecreasing")
     k = len(w.families)
@@ -363,7 +370,7 @@ def apc_pushforward(
     D = as_control(D)
     if not f.is_surjective():
         raise PreconditionError("map must be surjective")
-    scales = [float(r) for r in target_scales]
+    scales = [float(check_number(r, "target_scales")) for r in target_scales]
     k = len(w.families)
     if len(scales) != k * n or scales != sorted(scales):
         raise InputError(f"need {k * n} nondecreasing target scales")
@@ -404,7 +411,8 @@ def apc_pullback(
     family are R_i-disjoint and splitting into components only refines.
     M bounds component diameters (from the degree-zero certificate).
     """
-    scales = [float(r) for r in target_scales]
+    scales = [float(check_number(r, "target_scales")) for r in target_scales]
+    check_number(M, "M")
     if len(scales) != len(w.families) or scales != sorted(scales):
         raise InputError("one nondecreasing target scale per family required")
     if w.space is not f.codomain:

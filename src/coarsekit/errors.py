@@ -1,4 +1,13 @@
-"""Exception hierarchy shared by every module."""
+"""Exception hierarchy shared by every module, and the number policy.
+
+The number policy lives here, in ``check_number`` and ``is_int``, because
+every module already imports this one.  A scale, bound, mesh cap or threshold
+that reaches a public entry is a real number and never NaN; +-inf passes
+unless the entry needs a finite value.
+"""
+
+import math
+from numbers import Integral, Real
 
 
 class CoarseKitError(Exception):
@@ -41,3 +50,23 @@ class Refusal(CoarseKitError):
         super().__init__(message)
         self.proved = proved
         self.witness = witness
+
+
+def is_int(v) -> bool:
+    """True for an integer (``int`` or any ``numbers.Integral``) that is not a bool."""
+    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
+
+
+def check_number(x, name, *, finite=False):
+    """``x`` unchanged when it is a real number: InputError for a bool, a
+    non-number or NaN, and for +-inf as well when ``finite``."""
+    if not isinstance(x, float):  # floats, numpy's included, skip the ABC checks
+        if is_int(x):
+            return x  # never NaN or infinite, and may be too large for math.isnan
+        if isinstance(x, bool) or not isinstance(x, Real):
+            raise InputError(f"{name} must be a number, got {x!r}")
+    if finite and not math.isfinite(x):
+        raise InputError(f"{name} must be finite")
+    if math.isnan(x):
+        raise InputError(f"{name} must not be NaN")
+    return x

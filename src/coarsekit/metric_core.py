@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError, MetricError, PreconditionError
+from .errors import InputError, MetricError, PreconditionError, check_number
 
 __all__ = [
     "FiniteMetricSpace",
@@ -258,6 +258,7 @@ def _same_space(*subsets: Subset) -> FiniteMetricSpace:
 
 def neighborhood(A: Subset, R: float, *, closed: bool = False) -> Subset:
     """B(A, R): A plus all points at distance < R from A (<= R when closed)."""
+    check_number(R, "R")
     sp = A.space
     if not A.members:
         return Subset(sp, frozenset())
@@ -270,6 +271,7 @@ def neighborhood(A: Subset, R: float, *, closed: bool = False) -> Subset:
 
 def inner_neighborhood(A: Subset, R: float) -> Subset:
     """{x in A : B({x}, R) is contained in A}; the -R shrinking of A."""
+    check_number(R, "R")
     sp = A.space
     if not A.members or len(A.members) == sp.n:
         return A
@@ -310,6 +312,7 @@ def components(
 
     Returns frozensets ordered by their least member.
     """
+    check_number(R, "R")
     idx = sorted(members)
     sub = space.dmat[np.ix_(idx, idx)]
     near = point_masks(sub < R if strict else sub <= R)

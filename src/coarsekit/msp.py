@@ -12,7 +12,7 @@ import numpy as np
 
 from .coarse_maps import CoarseMap, control_upper, graph_coloring, maximal_r_bounded_sets
 from .covers import FamilyOfSets, is_r_disjoint, mesh, split_on_carrier
-from .errors import CertificateError, InputError, PreconditionError
+from .errors import CertificateError, InputError, PreconditionError, check_number
 from .metric_core import (
     FiniteMetricSpace,
     Subset,
@@ -49,11 +49,9 @@ class ProbMeasure:
     renormalized: bool = False
 
     def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
+        w = tuple(float(check_number(v, "weights", finite=True)) for v in self.weights)
         if len(w) != self.space.n:
             raise InputError("one weight per point required")
-        if not all(math.isfinite(v) for v in w):
-            raise InputError("weights must be finite")
         if any(v < 0 for v in w):
             raise InputError("weights must be nonnegative")
         total = sum(w)
@@ -119,7 +117,7 @@ def best_mass_family(
     greedy (heaviest S-bounded set first, excise everything within R) with a
     lower-bound flag.
     """
-    if not (R >= 0 and S >= 0):
+    if check_number(R, "R") < 0 or check_number(S, "S") < 0:
         raise InputError("R and S must be >= 0")
     if mu.space is not space:
         raise InputError("measure must live on the given space")
@@ -169,6 +167,7 @@ def half_mass_witness(
 ) -> Optional[MassFamily]:
     """The first family of mass > 1/2 over the positive realized diameter
     bounds B, tried in increasing order; None when no bound reaches it."""
+    check_number(R, "R")
     for B in space.realized_distances():
         if B > 0:
             cand = best_mass_family(space, mu, R, B)
@@ -179,6 +178,7 @@ def half_mass_witness(
 
 def asdim_to_msp(cover: FamilyOfSets, R: float, mu: ProbMeasure) -> MassFamily:
     """Max-mass color class of a disjointified cover; mass >= 1/(number of colors)."""
+    check_number(R, "R")
     if cover.colors is None:
         raise InputError("cover must be colored")
     if not cover.covers_space():
@@ -249,7 +249,7 @@ def msp_pushforward(
     expansions, giving S = E(B) + 2*n*R.  Either way the best color class has
     mass >= 1/(2n).
     """
-    if not R >= 0:
+    if check_number(R, "R") < 0:
         raise InputError("R must be >= 0")
     if mu.space is not f.codomain or lam.space is not f.domain:
         raise InputError("mu lives on the codomain, lam on the domain")
@@ -300,12 +300,15 @@ def msp_pullback(
     apart.  It defaults to the least realized codomain distance above
     E(R_X) (inf when there is none), the smallest such scale.
     """
+    for name, v in (("R_X", R_X), ("K", K), ("S", S)):
+        if check_number(v, name) < 0:
+            raise InputError(f"{name} must be >= 0")
     if mu.space is not f.domain:
         raise InputError("measure must live on the domain")
     e = control_upper(f)(R_X)
     if R_Y is None:
         R_Y = min((d for d in f.codomain.realized_distances() if d > e), default=math.inf)
-    elif R_Y <= e:
+    elif check_number(R_Y, "R_Y") <= e:
         raise PreconditionError(f"R_Y must be > E(R_X) = {e}")
     lam = pushforward_measure(f, mu)
     stage1 = best_mass_family(f.codomain, lam, R_Y, K)
@@ -362,7 +365,9 @@ def map_msp_check(
     larger instances are probed with adversarial concentrated measures and
     reported inconclusive.
     """
-    if not (R >= 0 and S >= 0 and K >= 0) or not (0 < c < 1):
+    for name, v in (("R", R), ("S", S), ("c", c), ("K", K)):
+        check_number(v, name)
+    if R < 0 or S < 0 or K < 0 or not 0 < c < 1:
         raise InputError("need R, S, K >= 0 and 0 < c < 1")
     members = A.members if isinstance(A, Subset) else frozenset(A)
     blocks, exact_blocks = maximal_r_bounded_sets(f.codomain, K, within=members)

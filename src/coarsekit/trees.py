@@ -11,15 +11,13 @@ parent, then subfamily by subfamily.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Optional, Sequence
 
 from .controls import as_control
 from .coarse_maps import CoarseMap, control_upper
-from .covers import FamilyOfSets, _is_int, check_families, is_r_disjoint, split_on_carrier
-from .errors import CertificateError, InputError, PreconditionError
+from .covers import FamilyOfSets, check_families, is_r_disjoint, split_on_carrier
+from .errors import CertificateError, InputError, PreconditionError, check_number, is_int
 from .metric_core import FiniteMetricSpace, Subset, neighborhood, r_components
 
 __all__ = [
@@ -63,12 +61,10 @@ class DecompositionTree:
         if self.union_mode not in ("equal", "contains"):
             raise InputError(f"unknown union mode {self.union_mode!r}")
         for r in self.scales:
-            if isinstance(r, bool) or not isinstance(r, Real) or not math.isfinite(r):
-                raise InputError(f"tree scale {r!r} is not a finite number")
-        if math.isnan(self.terminal_mesh):
-            raise InputError("terminal mesh is NaN")
+            check_number(r, "tree scale", finite=True)
+        check_number(self.terminal_mesh, "terminal mesh")
         for b in self.branching:
-            if not _is_int(b):
+            if not is_int(b):
                 raise InputError(f"branching bound {b!r} is not an integer")
         for i, (lvl, table) in enumerate(zip(self.levels, self.splits)):
             if lvl.space is not self.space:
@@ -79,7 +75,7 @@ class DecompositionTree:
             for k, subfams in enumerate(table):
                 for sub in subfams:
                     for idx in sub:
-                        if not _is_int(idx) or not (0 <= idx < nxt):
+                        if not is_int(idx) or not (0 <= idx < nxt):
                             raise InputError(
                                 f"split of set {k} at level {i + 1} references "
                                 f"set {idx!r} outside level {i + 2}"
@@ -314,6 +310,7 @@ def tree_to_cover(t: DecompositionTree, R: float) -> FamilyOfSets:
     because their ancestors diverged inside one R_i-disjoint subfamily and
     descendants stay inside ancestors.
     """
+    check_number(R, "R")
     rep = _require_valid(t, "casdim")
     if any(s < R for s in t.scales):
         raise PreconditionError(f"all tree scales must be >= {R}")
@@ -365,7 +362,9 @@ def tree_pullback(
     """
     D = as_control(D)
     _require_valid(t, "casdim")
-    scales = [float(r) for r in target_scales]
+    scales = [float(check_number(r, "target_scales")) for r in target_scales]
+    if component_scale is not None:
+        check_number(component_scale, "component_scale")
     if len(scales) != t.depth - 1:
         raise InputError("one target scale per tree scale required")
     E = control_upper(f)
@@ -460,7 +459,7 @@ def tree_pushforward(
     if not f.is_surjective():
         raise PreconditionError("map must be surjective")
     depth = rep.bounded_levels[0]
-    scales = [float(r) for r in target_scales]
+    scales = [float(check_number(r, "target_scales")) for r in target_scales]
     if len(scales) < depth - 1:
         raise InputError(f"need at least {depth - 1} target scales")
     Y = f.codomain

@@ -151,6 +151,27 @@ class TestNaNIsUsageError:
             assert code == 2 and report is None
             assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["normalize", "push", "pull"])
+    def test_nan_scale_in_witness_file(self, capsys, tmp_path, fold5, command):
+        # json reads NaN, and no distance is below a NaN scale, so such a
+        # witness would validate and certify
+        dom, cod, f = fold5
+        whole = {"sets": [list(range(11 if command == "push" else 6))]}
+        witness = {"scales": [math.nan], "families": [whole]}
+        if command == "normalize":
+            witness["dims"] = [0]
+            argv = ["apc", "normalize", "--space", cod, "--gaps", "1"]
+        elif command == "push":
+            argv = ["apc", "push", "--domain", dom, "--codomain", cod, "--map", f, "--n", "2",
+                    "--control", '{"type": "linear", "a": 1.0}', "--target-scales", "1,2"]
+        else:
+            argv = ["apc", "pull", "--domain", dom, "--codomain", cod, "--map", f,
+                    "--target-scales", "1", "--bound", "10"]
+        w = write(tmp_path, "w.json", witness)
+        code, report, err = run(capsys, argv + ["--witness", w])
+        assert code == 2 and report is None
+        assert err.startswith("error:") and "scales must not be NaN" in err
+
     @pytest.mark.parametrize("weight", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_weight_in_measure_file(self, capsys, tmp_path, path16, weight):
         mu = write(tmp_path, "mu.json", {"weights": [1] * 15 + [weight]})

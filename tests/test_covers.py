@@ -5,6 +5,7 @@ import pytest
 
 from coarsekit import (
     FamilyOfSets,
+    InputError,
     PreconditionError,
     Subset,
     build_space,
@@ -132,26 +133,20 @@ class TestMakeDisjoint:
                 hull = neighborhood(Subset(sp, F.sets[t]), 2.0).members
                 assert members <= hull
 
-    def test_w_sets_of_equal_cardinality_are_disjoint(self):
-        sp, F = three_interval_cover()
-        _, trace = make_disjoint(F, 2.0, 2)
-        keys = list(trace.w_sets)
-        for a in range(len(keys)):
-            for b in range(a + 1, len(keys)):
-                T, S = keys[a], keys[b]
-                if len(T) == len(S) and T != S:
-                    assert not (trace.w_sets[T] & trace.w_sets[S])
-
     def test_dimension_too_high_rejected(self):
         sp, F = three_interval_cover()
         with pytest.raises(PreconditionError):
             make_disjoint(F, 2.0, 1)
 
-    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan])
-    def test_scale_not_positive_rejected(self, R):
+    @pytest.mark.parametrize("R, error, message", [
+        (0.0, PreconditionError, r"requires R > 0"),
+        (-1.0, PreconditionError, r"requires R > 0"),
         # NaN used to pass an "R <= 0" guard and fail as an uncovered space
+        (math.nan, InputError, r"R must not be NaN"),
+    ], ids=["0.0", "-1.0", "nan"])
+    def test_scale_not_positive_rejected(self, R, error, message):
         sp, F = three_interval_cover()
-        with pytest.raises(PreconditionError, match=r"requires R > 0"):
+        with pytest.raises(error, match=message):
             make_disjoint(F, R, 2)
 
     def test_union_of_disjoint_color_classes_has_low_dimension(self):

@@ -4,8 +4,9 @@ point-set bitmasks are built and walked only in ``metric_core``, report values
 are encoded only in ``serialization``, the distance
 to a complement is read from the distance table only in
 ``metric_core._dist_outside``, a family is restricted to its carrier and
-disjointified only in ``covers.split_on_carrier``, and importing the CLI loads
-neither networkx nor scipy.
+disjointified only in ``covers.split_on_carrier``, numbers are checked for NaN,
+finiteness and type only in ``errors`` (``check_number``, ``is_int``), and
+importing the CLI loads neither networkx nor scipy.
 
 For imports, ``__init__.py`` is skipped: its imports are the package's
 re-exports.  A name counts as used when it is read anywhere in the module,
@@ -188,6 +189,31 @@ def test_report_values_encoded_only_in_serialization():
     assert any(hit.startswith("_plain ") and hit.endswith("calls to_json")
                for hit in _report_encodings(home)), (
         "the scan no longer sees the to_json call in serialization._plain")
+
+
+def _number_checks(tree):
+    """Lines that name ``math.isnan`` or ``math.isfinite`` or anything of the
+    ``numbers`` module, by attribute or by import."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and (node.value.id == "numbers"
+                     or node.value.id == "math" and node.attr in ("isnan", "isfinite"))):
+            yield f"line {node.lineno}: {node.value.id}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module == "numbers"
+                or node.module == "math" and {"isnan", "isfinite"} & {a.name for a in node.names}):
+            yield f"line {node.lineno}: from {node.module} import"
+        elif isinstance(node, ast.Import) and "numbers" in {a.name for a in node.names}:
+            yield f"line {node.lineno}: import numbers"
+
+
+def test_number_policy_only_in_errors():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    home = list(_number_checks(trees.pop("errors.py")))
+    found = [f"{name} {hit}" for name, tree in trees.items() for hit in _number_checks(tree)]
+    assert not found, f"check numbers with errors.check_number or is_int instead: {', '.join(found)}"
+    assert any("math.isnan" in hit for hit in home) and any("numbers" in hit for hit in home), (
+        "the scan no longer sees the checks in errors.check_number")
 
 
 def test_cli_import_loads_neither_networkx_nor_scipy():

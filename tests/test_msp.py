@@ -9,24 +9,52 @@ import pytest
 
 import coarsekit
 from coarsekit import (
+    ApcWitness,
     CertificateError,
+    DecompositionTree,
+    DimSequenceWitness,
     InputError,
     LinearControl,
     MassFamily,
     PreconditionError,
     ProbMeasure,
+    StepFunction,
+    Subset,
+    apc_normalize,
+    apc_pullback,
+    apc_pushforward,
+    apc_witness,
     asdim_at_scale,
     asdim_to_msp,
+    asdim_zero_witness,
     best_mass_family,
     build_space,
-    half_mass_witness,
+    components,
     control_upper,
+    dim_at_scale,
+    factorize,
+    half_mass_witness,
+    inner_neighborhood,
+    is_r_disjoint,
     make_disjoint,
     map_msp_check,
+    maximal_r_bounded_sets,
     msp_pullback,
     msp_pushforward,
+    n_to_1_control,
+    n_to_1_profile,
+    neighborhood,
+    pullback_family,
+    pushforward_cover,
+    pushforward_disjointify,
     pushforward_measure,
+    r_components,
     transfer_measure_selection,
+    tree_pullback,
+    tree_pushforward,
+    tree_to_cover,
+    verify_apc_witness,
+    verify_n_to_1,
 )
 from coarsekit import msp as msp_module
 from coarsekit.coarse_maps import CoarseMap, group_quotient
@@ -334,21 +362,132 @@ class TestMapMspCheck:
             map_msp_check(f, f.codomain.full(), 1.0, 1.0, 1.5, 1.0)
 
 
-@pytest.mark.parametrize("call", [
-    lambda sp: asdim_at_scale(sp, 1.0, math.nan),
-    lambda sp: best_mass_family(sp, uniform(sp), math.nan, 1.0),
-    lambda sp: best_mass_family(sp, uniform(sp), 1.0, math.nan),
-    lambda sp: map_msp_check(identity_map(sp), sp.full(), math.nan, 1.0, 0.5, 1.0),
-    lambda sp: map_msp_check(identity_map(sp), sp.full(), 1.0, math.nan, 0.5, 1.0),
-    lambda sp: map_msp_check(identity_map(sp), sp.full(), 1.0, 1.0, 0.5, math.nan),
-    lambda sp: msp_pushforward(identity_map(sp), 1, uniform(sp), math.nan,
-                               best_mass_family(sp, uniform(sp), 1.0, 2.0), uniform(sp)),
-    lambda sp: msp_pushforward(identity_map(sp), 1, uniform(sp), -1.0,
-                               best_mass_family(sp, uniform(sp), 1.0, 2.0), uniform(sp)),
-], ids=["asdim-mesh_cap", "mass-R", "mass-S", "game-R", "game-S", "game-K", "push-R",
-        "push-R-negative"])
+def _whole(sp):
+    return fam(sp, range(sp.n))
+
+
+def _witness(sp, *scales):
+    """A valid witness: the whole space as one family per scale."""
+    return ApcWitness(sp, scales, tuple(_whole(sp) for _ in scales))
+
+
+def _tree(sp):
+    """A valid two-level partition tree on path_space(8): halves at scale 1."""
+    return DecompositionTree(sp, (_whole(sp), fam(sp, range(4), range(4, 8))), (1.0,), (2,),
+                             ((((0, 1),),),), terminal_mesh=3.0)
+
+
+_C = LinearControl(1.0)
+nan = math.nan
+
+# One case per public entry and numeric argument, on path_space(8) inputs that
+# are valid but for the NaN.  Each id names the entry, then the argument.
+NAN_CASES = {
+    "asdim-mesh_cap": lambda sp: asdim_at_scale(sp, 1.0, nan),
+    "mass-R": lambda sp: best_mass_family(sp, uniform(sp), nan, 1.0),
+    "mass-S": lambda sp: best_mass_family(sp, uniform(sp), 1.0, nan),
+    "game-R": lambda sp: map_msp_check(identity_map(sp), sp.full(), nan, 1.0, 0.5, 1.0),
+    "game-S": lambda sp: map_msp_check(identity_map(sp), sp.full(), 1.0, nan, 0.5, 1.0),
+    "game-K": lambda sp: map_msp_check(identity_map(sp), sp.full(), 1.0, 1.0, 0.5, nan),
+    "push-R": lambda sp: msp_pushforward(identity_map(sp), 1, uniform(sp), nan,
+                                         best_mass_family(sp, uniform(sp), 1.0, 2.0), uniform(sp)),
+    # the sign rule, checked after the guard
+    "push-R-negative": lambda sp: msp_pushforward(
+        identity_map(sp), 1, uniform(sp), -1.0, best_mass_family(sp, uniform(sp), 1.0, 2.0),
+        uniform(sp)),
+    "game-c": lambda sp: map_msp_check(identity_map(sp), sp.full(), 1.0, 1.0, nan, 1.0),
+    "asdim-R": lambda sp: asdim_at_scale(sp, nan, 2.0),
+    "half-mass-R": lambda sp: half_mass_witness(sp, uniform(sp), nan),
+    "asdim-to-msp-R": lambda sp: asdim_to_msp(FamilyOfSets(sp, (frozenset(range(8)),), (0,)),
+                                              nan, uniform(sp)),
+    "pull-R_X": lambda sp: msp_pullback(identity_map(sp), uniform(sp), nan, K=7.0, S=7.0),
+    "pull-K": lambda sp: msp_pullback(identity_map(sp), uniform(sp), 1.0, K=nan, S=7.0),
+    "pull-S": lambda sp: msp_pullback(identity_map(sp), uniform(sp), 1.0, K=7.0, S=nan),
+    "pull-R_Y": lambda sp: msp_pullback(identity_map(sp), uniform(sp), 1.0, K=7.0, S=7.0,
+                                        R_Y=nan),
+    "measure-weights": lambda sp: ProbMeasure(sp, (1.0,) * 7 + (nan,)),
+    "neighborhood-R": lambda sp: neighborhood(Subset(sp, frozenset({0})), nan),
+    "inner-neighborhood-R": lambda sp: inner_neighborhood(Subset(sp, frozenset(range(4))), nan),
+    "components-R": lambda sp: components(sp, range(8), nan, strict=True),
+    "r-components-R": lambda sp: r_components(sp.full(), nan),
+    "dim-R": lambda sp: dim_at_scale(_whole(sp), nan),
+    "disjoint-R": lambda sp: is_r_disjoint(fam(sp, {0}, {7}), nan),
+    "make-disjoint-R": lambda sp: make_disjoint(_whole(sp), nan, 0),
+    "step-r": lambda sp: StepFunction(((nan, 1.0),)),
+    "step-value": lambda sp: StepFunction(((0.0, nan),)),
+    "step-call-r": lambda sp: control_upper(identity_map(sp))(nan),
+    "linear-a": lambda sp: LinearControl(nan),
+    "linear-b": lambda sp: LinearControl(1.0, nan),
+    "linear-call-r": lambda sp: _C(nan),
+    "pullback-family-d": lambda sp: pullback_family(identity_map(sp), fam(sp, {0}, {7}), nan),
+    "bounded-sets-r": lambda sp: maximal_r_bounded_sets(sp, nan),
+    "profile-r": lambda sp: n_to_1_profile(identity_map(sp), nan, 1.0),
+    "profile-R": lambda sp: n_to_1_profile(identity_map(sp), 1.0, nan),
+    "control-c_cap": lambda sp: n_to_1_control(identity_map(sp), 1, c_cap=nan),
+    "verify-n-to-1-r": lambda sp: verify_n_to_1(identity_map(sp), 1, _C, nan),
+    "push-cover-r": lambda sp: pushforward_cover(identity_map(sp), _whole(sp), nan, 1, _C),
+    "push-disjointify-r": lambda sp: pushforward_disjointify(identity_map(sp), _whole(sp), nan,
+                                                             1, _C),
+    "factorize-R": lambda sp: factorize(identity_map(sp), nan),
+    "asdim-zero-r": lambda sp: asdim_zero_witness(identity_map(sp), 1, _C, nan, 1.0),
+    "asdim-zero-R": lambda sp: asdim_zero_witness(identity_map(sp), 1, _C, 1.0, nan),
+    "apc-witness-scales": lambda sp: apc_witness(sp, [nan, 2.0], 3.0),
+    "apc-witness-mesh_cap": lambda sp: apc_witness(sp, [1.0], nan),
+    "apc-witness-class-scales": lambda sp: _witness(sp, nan),
+    "verify-apc-mesh_cap": lambda sp: verify_apc_witness(_witness(sp, 1.0), mesh_cap=nan),
+    "dim-sequence-scales": lambda sp: DimSequenceWitness(sp, (nan,), (0,), (_whole(sp),)),
+    "normalize-M": lambda sp: apc_normalize(DimSequenceWitness(sp, (1.0,), (0,), (_whole(sp),)),
+                                            [nan]),
+    "apc-push-target_scales": lambda sp: apc_pushforward(identity_map(sp), 1, _C,
+                                                         _witness(sp, 1.0), [nan]),
+    "apc-pull-target_scales": lambda sp: apc_pullback(identity_map(sp), _witness(sp, 1.0),
+                                                      [nan], 8.0),
+    "apc-pull-M": lambda sp: apc_pullback(identity_map(sp), _witness(sp, 1.0), [1.0], nan),
+    "tree-scales": lambda sp: DecompositionTree(sp, (_whole(sp), _whole(sp)), (nan,), (1,),
+                                                ((((0,),),),), terminal_mesh=7.0),
+    "tree-terminal_mesh": lambda sp: DecompositionTree(sp, (_whole(sp),), (), (), (),
+                                                       terminal_mesh=nan),
+    "tree-cover-R": lambda sp: tree_to_cover(_tree(sp), nan),
+    "tree-pull-target_scales": lambda sp: tree_pullback(identity_map(sp), _tree(sp), 1, _C,
+                                                        [nan]),
+    "tree-pull-component_scale": lambda sp: tree_pullback(
+        identity_map(sp), _tree(sp), 1, _C, [1.0], component_scale=nan),
+    "tree-push-target_scales": lambda sp: tree_pushforward(identity_map(sp), _tree(sp), 1, _C,
+                                                           [nan]),
+}
+
+
+@pytest.mark.parametrize("call", NAN_CASES.values(), ids=NAN_CASES.keys())
 def test_nan_parameter_rejected(call):
-    # a NaN bound fails every comparison, so a "< 0" guard let it through to a
-    # certified result; msp_pushforward had no guard, and certified R = -1 too
+    # a NaN bound fails every comparison, so a sign check alone lets it through
+    # to a certified result
     with pytest.raises(InputError):
         call(path_space(8))
+
+
+def test_valid_inputs_of_the_nan_cases_are_accepted():
+    # the NaN is the only fault in each case above
+    sp = path_space(8)
+    f = identity_map(sp)
+    assert msp_pullback(f, uniform(sp), 1.0, K=7.0, S=7.0, R_Y=2.0).mass == 1.0
+    assert verify_n_to_1(f, 1, _C, 1.0) == (True, None)
+    assert tree_to_cover(_tree(sp), 1.0).colors == (0, 0)
+    tree_pullback(f, _tree(sp), 1, _C, [1.0], component_scale=1.0)
+    tree_pushforward(f, _tree(sp), 1, _C, [0.5])
+    apc_normalize(DimSequenceWitness(sp, (1.0,), (0,), (_whole(sp),)), [1.0])
+    apc_pushforward(f, 1, _C, _witness(sp, 1.0), [1.0])
+    apc_pullback(f, _witness(sp, 1.0), [1.0], 8.0)
+    asdim_zero_witness(f, 1, _C, 1.0, 1.0)
+    DecompositionTree(sp, (_whole(sp), _whole(sp)), (1.0,), (1,), ((((0,),),),),
+                      terminal_mesh=7.0)
+
+
+def test_pullback_names_its_own_parameters():
+    # each parameter is checked at msp_pullback's own entry, under its own name
+    sp = path_space(8)
+    with pytest.raises(InputError, match=r"^K must not be NaN$"):
+        msp_pullback(identity_map(sp), uniform(sp), 1.0, K=math.nan, S=7.0)
+    with pytest.raises(InputError, match=r"^K must be >= 0$"):
+        msp_pullback(identity_map(sp), uniform(sp), 1.0, K=-1.0, S=7.0)
+    with pytest.raises(InputError, match=r"^R_X must be >= 0$"):
+        msp_pullback(identity_map(sp), uniform(sp), -1.0, K=7.0, S=7.0)

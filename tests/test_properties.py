@@ -5,6 +5,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from coarsekit import (
     DisjointificationTrace,
     FamilyOfSets,
     FiniteMetricSpace,
+    InputError,
     MetricError,
     PreconditionError,
     ProbMeasure,
@@ -277,6 +279,11 @@ def _components_union_find_reference(space, members, R, strict):
        st.booleans(), st.data())
 def test_components_match_union_find_reference(sp, R, strict, data):
     members = data.draw(st.frozensets(st.integers(0, sp.n - 1)))
+    if math.isnan(R):
+        # a NaN scale compares false with every distance, so it is rejected, not answered
+        with pytest.raises(InputError, match="R must not be NaN"):
+            components(sp, members, R, strict=strict)
+        return
     got = components(sp, members, R, strict=strict)
     ref = _components_union_find_reference(sp, members, R, strict)
     assert got == ref
@@ -624,7 +631,7 @@ def _ref_lebesgue_number(F):
 
 
 def _ref_disjointification(U, R, n):
-    """(margin sets, gap sets) by the per-point cut loop and the per-point W_T loop."""
+    """The margin sets, by the per-point cut loop."""
     sp, nsets = U.space, len(U.sets)
     allpts = set(range(sp.n))
     fvals = np.empty((nsets, sp.n))
@@ -647,16 +654,7 @@ def _ref_disjointification(U, R, n):
                 margin.setdefault(tuple(sorted(order[:cut])), set()).add(x)
             if lo == 0.0:
                 break
-    gaps = {}
-    for T in margin:
-        members = []
-        for x in range(sp.n):
-            col = fvals[:, x]
-            rest = [col[s] for s in range(nsets) if s not in T]
-            if min(col[t] for t in T) > (max(rest) if rest else 0.0):
-                members.append(x)
-        gaps[T] = frozenset(members)
-    return {T: frozenset(m) for T, m in margin.items()}, gaps
+    return {T: frozenset(m) for T, m in margin.items()}
 
 
 @settings(max_examples=200, deadline=None)
@@ -674,11 +672,10 @@ def test_make_disjoint_matches_per_point_loops(U, Rint):
     R = float(Rint)
     n = dim_at_scale(U, R)
     colored, trace = make_disjoint(U, R, n)
-    margin, gaps = _ref_disjointification(U, R, n)
+    margin = _ref_disjointification(U, R, n)
     order = sorted(margin, key=lambda T: (len(T), T))
     assert trace.margin_sets == margin
     assert list(trace.margin_sets) == order
-    assert trace.w_sets == gaps
     assert colored.sets == tuple(margin[T] for T in order)
     assert colored.colors == tuple(len(T) - 1 for T in order)
 
@@ -911,7 +908,7 @@ def _ref_split_on_carrier(space, sets, R, n):
     """Restrict to the carrier, make_disjoint, lift each colour class back."""
     carrier = frozenset().union(*sets)
     if not carrier:
-        return [FamilyOfSets(space, ()) for _ in range(n + 1)], DisjointificationTrace(R, n, {}, {})
+        return [FamilyOfSets(space, ()) for _ in range(n + 1)], DisjointificationTrace(R, n, {})
     sub, old_of_new = space.subspace(carrier)
     new_of_old = {o: q for q, o in enumerate(old_of_new)}
     fam = FamilyOfSets(sub, tuple(frozenset(new_of_old[y] for y in s) for s in sets))
@@ -926,7 +923,7 @@ def _split_outcome(split, space, sets, R, n):
         classes, trace = split(space, sets, R, n)
     except PreconditionError as e:
         return "PreconditionError", str(e)
-    return [c.sets for c in classes], trace, list(trace.margin_sets.items()), trace.w_sets
+    return [c.sets for c in classes], trace, list(trace.margin_sets.items())
 
 
 split_scales = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
