@@ -97,7 +97,7 @@ class FamilyOfSets:
         """Read-only membership of the expansions B(U_k, R): set k plus every
         point at distance < R from it (<= R when closed).  Computed once per
         (R, closed) and kept on the family."""
-        key = (R, closed)
+        key = (check_number(R, "R"), closed)
         if key not in self._expansions:
             near = self.space.dmat <= R if closed else self.space.dmat < R
             exp = self.membership | (self.membership.astype(float) @ near > 0)
@@ -109,7 +109,7 @@ class FamilyOfSets:
         """Symmetric boolean matrix (sets x sets): True where distinct sets
         hold points at distance < R, read as an R-expansion row meeting a
         membership row.  All False when R <= 0."""
-        if R <= 0:
+        if check_number(R, "R") <= 0:
             return np.zeros((len(self.sets),) * 2, dtype=bool)
         meets = self.expansion(R).astype(float) @ self.membership.T > 0
         np.fill_diagonal(meets, False)

@@ -234,9 +234,11 @@ def build_space(descriptor: dict) -> FiniteMetricSpace:
             nv = 1 + max(max(i, j) for i, j, _ in edges) if edges else 1
             labels = list(range(nv))
         nv = len(labels)
+        if not nv:
+            raise InputError("a graph must have at least one vertex")
         rows, cols, data = [], [], []
         for i, j, w in edges:
-            if w <= 0:
+            if check_number(w, "edge weight", finite=True) <= 0:
                 raise InputError(f"edge ({i},{j}) has non-positive weight {w}")
             rows += [i, j]
             cols += [j, i]

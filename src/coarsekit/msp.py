@@ -106,6 +106,42 @@ def _feasible_masks(feasible, points):
     return masks
 
 
+def _max_mass_mask(feasible, mu: ProbMeasure, points):
+    """The least feasible mask over ``points`` with the greatest float mass,
+    and that mass, by depth-first branch and bound.
+
+    Points are decided from the highest index down, inclusion first; by
+    downward closure a point is included only while the mask stays feasible,
+    so every feasible mask is a leaf.  A node is pruned when even all its
+    undecided weight cannot reach the best mass; the 1e-9 slack keeps leaves
+    that tie with the best under float rounding.  A leaf's mass is summed
+    over a frozenset of its points: float sums depend on their order, and
+    this order fixes the reported mass.  A tie goes to the lesser mask, so
+    the answer does not depend on the visit order.
+    """
+    order = sorted(points, reverse=True)
+    w = mu.weights
+    rest = [sum(w[p] for p in order[i:]) for i in range(len(order) + 1)]
+    best_mask, best = 0, -1.0
+
+    def search(i, mask, partial):
+        nonlocal best_mask, best
+        if partial + rest[i] < best - 1e-9:
+            return
+        if i == len(order):
+            m = mu.mass(frozenset(bits(mask)))
+            if m > best or (m == best and mask < best_mask):
+                best_mask, best = mask, m
+            return
+        p = order[i]
+        if feasible(mask | 1 << p):
+            search(i + 1, mask | 1 << p, partial + w[p])
+        search(i + 1, mask, partial)
+
+    search(0, 0, 0.0)
+    return best_mask, best
+
+
 def best_mass_family(
     space: FiniteMetricSpace, mu: ProbMeasure, R: float, S: float, *, exact_cap: int = EXACT_MASS_CAP
 ) -> MassFamily:
@@ -123,14 +159,8 @@ def best_mass_family(
         raise InputError("measure must live on the given space")
     n = space.n
     if n <= exact_cap:
-        best_mask, best_mass = 0, -1.0
         # only support points matter for mass; adding zero-weight points never helps
-        for mask in _feasible_masks(bounded_components(space, R, S), mu.support()):
-            # summed over a frozenset: float sums depend on their order, and this
-            # is the order the search has always used
-            m = mu.mass(frozenset(bits(mask)))
-            if m > best_mass:
-                best_mask, best_mass = mask, m
+        best_mask, best_mass = _max_mass_mask(bounded_components(space, R, S), mu, mu.support())
         fam = FamilyOfSets(space, components(space, bits(best_mask), R, strict=True))
         out = MassFamily(fam, R, S, max(best_mass, 0.0), exact=True)
         out.verify(mu)

@@ -75,6 +75,17 @@ class TestSpaceCommand:
         assert code == 2 and report is None
         assert "nonempty list of points" in err
 
+    @pytest.mark.parametrize("descriptor, message", [
+        ({"kind": "graph", "edges": [], "labels": []}, "at least one vertex"),
+        ({"kind": "graph", "edges": [[0, 1, math.nan], [1, 2, 1.0]]}, "edge weight must be finite"),
+        ({"kind": "graph", "edges": [[0, 1, True], [1, 2, 1.0]]}, "edge weight must be a number"),
+    ], ids=["no-vertices", "nan-weight", "bool-weight"])
+    def test_bad_graph_is_usage_error(self, capsys, tmp_path, descriptor, message):
+        sp = write(tmp_path, "graph.json", descriptor)
+        code, report, err = run(capsys, ["space", "--space", sp])
+        assert code == 2 and report is None
+        assert message in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, report, err = run(capsys, ["space", "--space", str(tmp_path / "nope.json")])
         assert code == 2 and report is None and "not found" in err

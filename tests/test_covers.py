@@ -32,6 +32,28 @@ def three_interval_cover():
     return sp, fam(sp, range(0, 11), range(5, 16), range(10, 21))
 
 
+class TestFamilyMethods:
+    @pytest.mark.parametrize("method", ["expansion", "closer_than"])
+    @pytest.mark.parametrize("R, message", [
+        # at NaN every d < R is False: the expansion was the bare membership
+        # and closer_than all False
+        (math.nan, "R must not be NaN"),
+        (True, "R must be a number"),
+        ("2", "R must be a number"),
+    ], ids=["nan", "bool", "str"])
+    def test_bad_scale_rejected(self, method, R, message):
+        sp, F = three_interval_cover()
+        with pytest.raises(InputError, match=message):
+            getattr(F, method)(R)
+
+    def test_scales_still_answered(self):
+        sp, F = three_interval_cover()
+        assert F.expansion(1).sum() == F.membership.sum()
+        assert F.expansion(2)[0].tolist() == [i <= 11 for i in range(21)]
+        assert F.closer_than(0).sum() == 0
+        assert F.closer_than(math.inf).tolist() == [[i != j for j in range(3)] for i in range(3)]
+
+
 class TestDimAtScale:
     def test_three_intervals_at_scale_two(self):
         sp, F = three_interval_cover()

@@ -103,6 +103,27 @@ class TestBuildSpace:
         with pytest.raises(MetricError, match="finite"):
             build_space({"kind": "cloud", "coords": [[0, 0], [1, math.nan]]})
 
+    @pytest.mark.parametrize("weight, message", [
+        # NaN and inf used to reach the shortest paths and read as "graph is disconnected"
+        (math.nan, "edge weight must be finite"),
+        (math.inf, "edge weight must be finite"),
+        # True used to be taken as weight 1
+        (True, "edge weight must be a number"),
+        ("1", "edge weight must be a number"),
+    ], ids=["nan", "inf", "bool", "str"])
+    def test_graph_edge_weight_must_be_a_finite_number(self, weight, message):
+        with pytest.raises(InputError, match=message):
+            build_space({"kind": "graph", "edges": [[0, 1, weight], [1, 2, 1.0]]})
+
+    def test_graph_non_positive_edge_weight_rejected(self):
+        with pytest.raises(InputError, match="non-positive weight"):
+            build_space({"kind": "graph", "edges": [[0, 1, 0], [1, 2, 1.0]]})
+
+    def test_graph_without_vertices_rejected(self):
+        # the same rule as an empty cloud: it used to build a 0-point space
+        with pytest.raises(InputError, match="at least one vertex"):
+            build_space({"kind": "graph", "edges": [], "labels": []})
+
 
 class TestNeighborhood:
     def test_strict_ball_around_singleton(self):

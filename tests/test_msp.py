@@ -62,6 +62,7 @@ from coarsekit.covers import FamilyOfSets
 from coarsekit.generators import (
     fold_map,
     grid_rotation_action,
+    grid_space,
     path_space,
     reflection_action,
     rotation_action,
@@ -131,6 +132,24 @@ class TestBestMassFamily:
         out = best_mass_family(sp, mu, 3.0, 0.0)
         # both heavy points fit: they are 9 >= 3 apart, singletons are 0-bounded
         assert math.isclose(out.mass, 1.0)
+
+    def test_ties_summed_over_frozensets(self):
+        # {0, 6, 7, 9} carries the same weight; summed in index order it would
+        # round above {0, 2, 6, 9} and be chosen instead
+        sp = build_space({"kind": "cloud", "norm": "l1", "coords": [
+            (0, 1), (0, 3), (0, 4), (1, 0), (1, 2), (1, 3), (2, 0), (2, 4), (4, 2), (4, 3)]})
+        mu = ProbMeasure(sp, (6, 3, 8, 3, 3, 6, 1, 8, 1, 8))
+        out = best_mass_family(sp, mu, 3, 0)
+        assert out.exact
+        assert out.family.sets == (frozenset({0}), frozenset({2}), frozenset({6}), frozenset({9}))
+        assert out.mass == 0.48936170212765956
+
+    @pytest.mark.parametrize("space", [grid_space(4, 4), path_space(16)], ids=["grid4x4", "path16"])
+    def test_whole_support_at_the_cap(self, space):
+        out = best_mass_family(space, uniform(space), 1, 1)
+        assert out.exact
+        assert out.family.union() == frozenset(range(16))
+        assert out.mass == 1.0
 
     def test_greedy_above_cap_flagged_lower_bound(self):
         sp = path_space(14)

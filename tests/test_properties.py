@@ -59,7 +59,7 @@ from coarsekit.metric_core import (
     point_masks,
     verify_metric,
 )
-from coarsekit.msp import _maximal_feasible_sets
+from coarsekit.msp import _feasible_masks, _max_mass_mask, _maximal_feasible_sets
 from coarsekit.serialization import tree_to_json
 from coarsekit.trees import _require_valid
 
@@ -323,6 +323,32 @@ def test_greedy_mass_excision_matches_distance_loop(sp, R, S, data):
     chosen, total = _greedy_mass_reference(sp, mu, R, S)
     assert [list(s) for s in out.family.sets] == [list(s) for s in chosen]
     assert out.mass == total
+
+
+def _max_mass_reference(space, mu, R, S):
+    """The enumeration the branch and bound replaced: the least feasible mask
+    over the support with the greatest float mass."""
+    best_mask, best = 0, -1.0
+    for mask in _feasible_masks(bounded_components(space, R, S), mu.support()):
+        m = mu.mass(frozenset(bits(mask)))
+        if m > best:
+            best_mask, best = mask, m
+    return best_mask, best
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_spaces(), scales, scales, st.sampled_from(["random", "zeros", "uniform"]), st.data())
+def test_max_mass_search_matches_enumeration(sp, R, S, kind, data):
+    if kind == "uniform":
+        weights = [1] * sp.n  # every tie in mass is a tie in float
+    else:
+        low = 0 if kind == "zeros" else 1
+        weights = data.draw(st.lists(st.integers(low, 8), min_size=sp.n, max_size=sp.n).filter(any))
+    mu = ProbMeasure(sp, tuple(float(w) for w in weights))
+    got = _max_mass_mask(bounded_components(sp, R, S), mu, mu.support())
+    assert got == _max_mass_reference(sp, mu, R, S)
+    out = best_mass_family(sp, mu, R, S)
+    assert out.family.union() == frozenset(bits(got[0])) and out.mass == got[1]
 
 
 def test_point_masks_rows_and_width():
