@@ -15,6 +15,7 @@ from .errors import CertificateError, InputError, PreconditionError, Refusal, ch
 from .metric_core import (
     FiniteMetricSpace,
     Subset,
+    _block,
     bits,
     diameter,
     point_masks,
@@ -82,7 +83,7 @@ def control_upper(f: CoarseMap) -> StepFunction:
     """Minimal nondecreasing E with d_Y(f(x), f(y)) <= E(d_X(x, y)); attained values."""
     idx = list(f.assign)
     dx = f.domain.dmat.ravel()
-    dy = f.codomain.dmat[np.ix_(idx, idx)].ravel()
+    dy = _block(f.codomain.dmat, idx).ravel()
     order = np.lexsort((dy, dx))
     dx = dx[order]
     running = np.maximum.accumulate(np.maximum(dy[order], 0.0))
@@ -122,7 +123,7 @@ def maximal_r_bounded_sets(space: FiniteMetricSpace, r: float, *, within=None):
     check_number(r, "r")
     pts = sorted(within) if within is not None else list(range(space.n))
     if len(pts) <= CLIQUE_ENUM_CAP:
-        adj = space.dmat[np.ix_(pts, pts)] <= r
+        adj = _block(space.dmat, pts) <= r
         cliques = sorted(tuple(sorted(pts[i] for i in c)) for c in _maximal_cliques(adj))
         return [frozenset(c) for c in cliques], True
     balls = set()
@@ -250,7 +251,7 @@ def min_max_diameter_partition(space: FiniteMetricSpace, members: frozenset, n: 
         raise PreconditionError(f"exact partition search capped at {EXACT_PARTITION_CAP} points")
     if n >= k:
         return 0.0, [frozenset({p}) for p in pts]
-    block = space.dmat[np.ix_(pts, pts)]
+    block = _block(space.dmat, pts)
 
     def parts_within(c):
         colors = graph_coloring(block > c, n)
@@ -335,7 +336,7 @@ def _component_relaxation(space: FiniteMetricSpace, members: frozenset, n: int) 
         return comps if len(comps) <= n else None
 
     pts = sorted(members)
-    _, comps = least_realized(space.dmat[np.ix_(pts, pts)], at_most_n)
+    _, comps = least_realized(_block(space.dmat, pts), at_most_n)
     return max(diameter(c) for c in comps)
 
 
@@ -495,7 +496,7 @@ def _hausdorff_quotient(space: FiniteMetricSpace, classes, labels) -> CoarseMap:
     # between classes one max-reduction over its rows.
     order = [x for c in classes for x in sorted(c)]
     starts = np.cumsum([0] + [len(c) for c in classes[:-1]])
-    to_class = np.minimum.reduceat(space.dmat[np.ix_(order, order)], starts, axis=1)
+    to_class = np.minimum.reduceat(_block(space.dmat, order), starts, axis=1)
     directed = np.maximum.reduceat(to_class, starts, axis=0)
     mat = np.maximum(directed, directed.T)
     # each class holds its own points, so the diagonal is d(x, x); store +0.0
@@ -576,7 +577,7 @@ def symmetrize_metric(action: GroupAction) -> FiniteMetricSpace:
     sp = action.space
     # each entry sums its |G| terms in sorted order, so (g.x, g.y) and (x, y),
     # which sum the same terms, get the same float
-    tables = np.sort([sp.dmat[np.ix_(p, p)] for p in action.perms], axis=0)
+    tables = np.sort([_block(sp.dmat, p) for p in action.perms], axis=0)
     d = tables.sum(axis=0)
     return _check_invariant(action.perms, FiniteMetricSpace(sp.labels, d, validate=False))
 
@@ -584,8 +585,7 @@ def symmetrize_metric(action: GroupAction) -> FiniteMetricSpace:
 def _check_invariant(perms, space: FiniteMetricSpace) -> FiniteMetricSpace:
     """symmetrize_metric's certificate: every permutation is an isometry of space."""
     for p in perms:
-        perm = np.asarray(p)
-        if not np.array_equal(space.dmat[np.ix_(perm, perm)], space.dmat):
+        if not np.array_equal(_block(space.dmat, p), space.dmat):
             raise CertificateError("symmetrized metric is not G-invariant", witness=list(p))
     return space
 
@@ -621,7 +621,7 @@ def _check_1_lipschitz(p: CoarseMap) -> CoarseMap:
     """group_quotient's certificate: d(p(x), p(y)) <= d(x, y) for all x, y;
     the witness is the first violating (x, y) in row-major order."""
     t = list(p.assign)
-    bad = np.argwhere(p.codomain.dmat[np.ix_(t, t)] > p.domain.dmat)
+    bad = np.argwhere(_block(p.codomain.dmat, t) > p.domain.dmat)
     if len(bad):
         raise CertificateError("projection is not 1-Lipschitz", witness=tuple(bad[0].tolist()))
     return p

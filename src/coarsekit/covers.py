@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificateError, InputError, PreconditionError, check_number, is_int
-from .metric_core import FiniteMetricSpace, Subset, _dist_outside, diameter
+from .metric_core import FiniteMetricSpace, _block, _dist_outside
 
 __all__ = [
     "FamilyOfSets",
@@ -128,9 +128,17 @@ class FamilyOfSets:
     def covers_space(self) -> bool:
         return not self.uncovered()
 
+    @cached_property
+    def set_diameters(self) -> tuple:
+        """Diameter of each set, in set order; None for an empty set.  The
+        family is frozen and the distance table read-only, so the values are
+        computed once, one square block per set (``metric_core._block``)."""
+        dmat = self.space.dmat
+        return tuple(float(_block(dmat, list(s)).max()) if s else None for s in self.sets)
+
     def max_diameter(self) -> float:
         """Largest diameter among the nonempty sets; 0.0 when there is none."""
-        return max((diameter(Subset(self.space, s)) for s in self.sets if s), default=0.0)
+        return max((d for d in self.set_diameters if d is not None), default=0.0)
 
     def color_class(self, c: int) -> "FamilyOfSets":
         if self.colors is None:

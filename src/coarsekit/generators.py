@@ -12,6 +12,8 @@ import fractions
 import random
 from typing import Optional
 
+import numpy as np
+
 from .covers import FamilyOfSets, dim_at_scale
 from .coarse_maps import CoarseMap, GroupAction, group_quotient
 from .metric_core import FiniteMetricSpace, build_space
@@ -76,31 +78,51 @@ def random_cover(
     """A cover with dim_at_scale <= max_dim at R, or None when resampling fails.
 
     Built as a partition into chunks of nearby points, each chunk then expanded
-    by a few extra nearby points to create overlaps.
+    by a few extra nearby points to create overlaps.  Each of up to 20 tries
+    draws, in this order: one ``rng.shuffle`` of the points; ``randint(2, 6)``
+    per chunk, a chunk being the ``size`` nearest untaken points to its seed
+    (the first untaken point of the shuffled order); then ``randint(0, 2)``
+    per chunk in chunk order, the ``extra`` outside points of least distance
+    to the chunk.  Nearness ties go to the lower index: points are ranked by
+    (distance, index).
     """
     n = space.n
+    dmat = space.dmat
+    # rows[x] ranks every point q by (d(x, q), q): a stable sort keeps ties in
+    # index order.  One numpy array, ranked once for all tries.
+    rows = np.argsort(dmat, axis=1, kind="stable")
     for _ in range(20):
         order = list(range(n))
         rng.shuffle(order)
-        remaining = set(order)
+        taken = [False] * n
         chunks = []
-        pos = 0
-        while remaining:
+        pos, left = 0, n
+        while left:
             # the seed is the first point of ``order`` not yet taken
-            while order[pos] not in remaining:
+            while taken[order[pos]]:
                 pos += 1
-            row = space.dmat[order[pos]].tolist()
             size = rng.randint(2, 6)
-            chunk = set(sorted(remaining, key=lambda q: (row[q], q))[:size])
-            remaining -= chunk
+            chunk = []
+            for q in rows[order[pos]].tolist():
+                if not taken[q]:
+                    taken[q] = True
+                    chunk.append(q)
+                    if len(chunk) == size:
+                        break
+            left -= len(chunk)
             chunks.append(chunk)
         sets = []
         for chunk in chunks:
             extra = rng.randint(0, 2)
             if extra:
-                gap = space.dmat[:, sorted(chunk)].min(axis=1).tolist()
-                others = sorted(set(range(n)) - chunk, key=lambda q: (gap[q], q))[:extra]
-                chunk = chunk | set(others)
+                # argmin takes the least distance to the chunk, and among
+                # equal distances the lowest index
+                gap = dmat[:, chunk].min(axis=1)
+                gap[chunk] = np.inf
+                for _ in range(min(extra, n - len(chunk))):
+                    q = int(gap.argmin())
+                    gap[q] = np.inf
+                    chunk.append(q)
             sets.append(frozenset(chunk))
         fam = FamilyOfSets(space, tuple(sets))
         if dim_at_scale(fam, R) <= max_dim:

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError, MetricError, PreconditionError, check_number
+from .errors import InputError, MetricError, PreconditionError, check_number, is_int
 
 __all__ = [
     "FiniteMetricSpace",
@@ -156,9 +156,7 @@ class FiniteMetricSpace:
         """Induced metric subspace; returns (space, map from new index to old index)."""
         idx = sorted(set(indices))
         sub = FiniteMetricSpace(
-            [self.labels[i] for i in idx],
-            self.dmat[np.ix_(idx, idx)],
-            validate=False,
+            [self.labels[i] for i in idx], _block(self.dmat, idx), validate=False
         )
         return sub, idx
 
@@ -180,9 +178,10 @@ class Subset:
     members: frozenset
 
     def __post_init__(self):
-        bad = [i for i in self.members if not (0 <= i < self.space.n)]
+        n = self.space.n
+        bad = [i for i in self.members if not (is_int(i) and 0 <= i < n)]
         if bad:
-            raise InputError(f"subset members {bad} outside the owning space")
+            raise InputError(f"subset members {bad} are not points of the owning space")
 
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
@@ -316,7 +315,7 @@ def components(
     """
     check_number(R, "R")
     idx = sorted(members)
-    sub = space.dmat[np.ix_(idx, idx)]
+    sub = _block(space.dmat, idx)
     near = point_masks(sub < R if strict else sub <= R)
     comps = _mask_components(near, (1 << len(idx)) - 1)
     return tuple(frozenset(idx[b] for b in bits(c)) for c in comps)
@@ -386,8 +385,17 @@ def r_components(A: Subset, R: float) -> tuple[Subset, ...]:
 
 
 def diameter(A: Subset) -> float:
-    sp = A.space
     if not A.members:
         raise PreconditionError("diameter requires a nonempty subset")
-    idx = A.sorted_members()
-    return float(sp.dmat[np.ix_(idx, idx)].max())
+    return float(_block(A.space.dmat, list(A.members)).max())
+
+
+def _block(dmat: np.ndarray, points: Sequence[int]) -> np.ndarray:
+    """The square block of ``dmat`` on the list or tuple ``points``, rows in
+    its order: one gather ``d[idx[:, None], idx]`` on the index array numpy
+    infers from it (np.intp for Python ints).  Every square block of
+    the library, each set diameter included, is read here.  A float index
+    fails as it did under ``np.ix_``: its array is float, which numpy refuses
+    as an index."""
+    idx = np.array(points) if points else np.empty(0, dtype=np.intp)
+    return dmat[idx[:, None], idx]

@@ -9,6 +9,7 @@ from coarsekit import (
     PreconditionError,
     Subset,
     build_space,
+    diameter,
     dim_at_scale,
     is_r_disjoint,
     lebesgue_number,
@@ -16,7 +17,7 @@ from coarsekit import (
     mesh,
     neighborhood,
 )
-from coarsekit.generators import cycle_space, path_space, random_cover, random_space
+from coarsekit.generators import cycle_space, grid_space, path_space, random_cover, random_space
 
 
 def integers(lo, hi):
@@ -99,6 +100,56 @@ class TestMesh:
     def test_antipodal_pairs_on_cycle(self):
         sp = cycle_space(6)
         assert mesh(fam(sp, {0, 3}, {1, 4}, {2, 5})) == 3.0
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(PreconditionError, match="nonempty sets"):
+            mesh(fam(integers(0, 5), {0, 1}, set()))
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(PreconditionError, match="nonempty family"):
+            mesh(fam(integers(0, 5)))
+
+
+def _per_set_diameters(F):
+    return tuple(diameter(Subset(F.space, s)) if s else None for s in F.sets)
+
+
+class TestSetDiameters:
+    def test_empty_and_one_point_sets(self):
+        sp = integers(0, 9)
+        F = fam(sp, {0, 3}, set(), {5}, {2, 9, 4}, set())
+        assert F.set_diameters == (3.0, None, 0.0, 7.0, None) == _per_set_diameters(F)
+        assert F.max_diameter() == 7.0
+
+    def test_families_without_a_nonempty_set(self):
+        sp = integers(0, 3)
+        assert fam(sp).set_diameters == ()
+        assert fam(sp, set(), set()).set_diameters == (None, None)
+        assert fam(sp).max_diameter() == fam(sp, set()).max_diameter() == 0.0
+
+    def test_computed_once(self):
+        sp, F = three_interval_cover()
+        assert F.set_diameters is F.set_diameters
+
+    def test_random_covers(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            sp = random_space(rng, 126)
+            F = random_cover(rng, sp, 2.0)
+            if F is not None:
+                assert F.set_diameters == _per_set_diameters(F)
+                assert F.max_diameter() == max(_per_set_diameters(F))
+
+    def test_disjointified_625_point_grid(self):
+        sp = grid_space(25, 25)
+        blocks = [frozenset(i * 25 + j for i in range(a, min(a + 7, 25)) for j in range(b, min(b + 7, 25)))
+                  for a in range(0, 25, 5) for b in range(0, 25, 5)]
+        U = FamilyOfSets(sp, tuple(blocks))
+        out, _ = make_disjoint(U, 2.0)
+        assert len(out) > len(U)
+        assert out.set_diameters == _per_set_diameters(out)
+        assert U.set_diameters == _per_set_diameters(U)
+        assert mesh(out) == max(_per_set_diameters(out)) <= mesh(U) + 4.0
 
 
 class TestLebesgue:

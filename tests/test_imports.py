@@ -4,7 +4,9 @@ point-set bitmasks are built and walked only in ``metric_core``, report values
 are encoded only in ``serialization``, the distance
 to a complement is read from the distance table only in
 ``metric_core._dist_outside``, a family is restricted to its carrier and
-disjointified only in ``covers.split_on_carrier``, numbers are checked for NaN,
+disjointified only in ``covers.split_on_carrier``, no square block of the
+distance table is read with ``np.ix_(idx, idx)`` (``metric_core._block`` is
+the one square gather), numbers are checked for NaN,
 finiteness and type only in ``errors`` (``check_number``, ``is_int``), and
 importing the CLI loads neither networkx nor scipy.
 
@@ -167,6 +169,22 @@ def test_carrier_split_only_in_covers():
     assert not found, f"use covers.split_on_carrier instead: {', '.join(found)}"
     assert [fn.split()[0] for fn in _carrier_splits(home)] == ["split_on_carrier"], (
         "the scan no longer sees the pair in covers.split_on_carrier")
+
+
+def _square_ix_reads(tree):
+    """Lines that call ``ix_`` with two equal arguments."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "ix_"
+                and len(node.args) == 2 and ast.dump(node.args[0]) == ast.dump(node.args[1])):
+            yield node.lineno
+
+
+def test_square_blocks_read_only_through_the_gather():
+    found = [f"{p.name}:{line}" for p in MODULES
+             for line in _square_ix_reads(ast.parse(p.read_text(encoding="utf-8")))]
+    assert not found, f"read square blocks with metric_core._block instead: {', '.join(found)}"
+    probe = ast.parse("sub = space.dmat[np.ix_(idx, idx)]\nrect = space.dmat[np.ix_(a, b)]")
+    assert list(_square_ix_reads(probe)) == [1], "the scan no longer sees a square np.ix_ read"
 
 
 def _report_encodings(tree):

@@ -250,6 +250,26 @@ class TestRComponents:
                 assert seen == set(pts)
 
 
+class TestSubset:
+    # each was accepted: a float failed only when a distance was read, with a
+    # bare IndexError, and a bool was taken as point 0 or 1
+    @pytest.mark.parametrize("members", [{1.5}, {np.float64(2.0)}, {True, 2}, {False}],
+                             ids=["float", "numpy-float", "bool-with-int", "bool"])
+    def test_non_integer_members_rejected(self, members):
+        sp = integers(0, 10)
+        with pytest.raises(InputError, match="not points of the owning space"):
+            Subset(sp, frozenset(members))
+
+    @pytest.mark.parametrize("members", [{-1}, {11}, {0, 11}])
+    def test_members_outside_the_space_rejected(self, members):
+        with pytest.raises(InputError, match="not points of the owning space"):
+            Subset(integers(0, 10), frozenset(members))
+
+    def test_numpy_integer_members_accepted(self):
+        sp = integers(0, 10)
+        assert diameter(Subset(sp, frozenset({np.int64(2), np.intp(9), 4}))) == 7.0
+
+
 class TestDiameter:
     def test_singleton(self):
         sp = integers(0, 10)

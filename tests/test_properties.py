@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import warnings
 
 import numpy as np
@@ -51,6 +52,7 @@ from coarsekit.coarse_maps import (
 )
 from coarsekit.covers import split_on_carrier
 from coarsekit.dimension import _dfs_apc, _exact_partition_search, _greedy_apc, _greedy_partition
+from coarsekit.generators import cycle_space, grid_space, random_cover, random_space
 from coarsekit.metric_core import (
     _ROW_BLOCK,
     _dist_outside,
@@ -196,6 +198,65 @@ def test_diameter_equals_max_pairwise(data):
     assert diameter(A) == max(
         (sp.d(a, b) for a in pts for b in pts), default=0.0
     )
+
+
+def _ref_random_cover(rng, space, R, max_dim=3):
+    """The sort-based generator: each chunk sorts every remaining point by
+    (distance to its seed, index), each extension the whole complement by
+    (distance to the chunk, index)."""
+    n = space.n
+    for _ in range(20):
+        order = list(range(n))
+        rng.shuffle(order)
+        remaining = set(order)
+        chunks = []
+        pos = 0
+        while remaining:
+            while order[pos] not in remaining:
+                pos += 1
+            row = space.dmat[order[pos]].tolist()
+            size = rng.randint(2, 6)
+            chunk = set(sorted(remaining, key=lambda q: (row[q], q))[:size])
+            remaining -= chunk
+            chunks.append(chunk)
+        sets = []
+        for chunk in chunks:
+            extra = rng.randint(0, 2)
+            if extra:
+                gap = space.dmat[:, sorted(chunk)].min(axis=1).tolist()
+                others = sorted(set(range(n)) - chunk, key=lambda q: (gap[q], q))[:extra]
+                chunk = chunk | set(others)
+            sets.append(frozenset(chunk))
+        fam = FamilyOfSets(space, tuple(sets))
+        if dim_at_scale(fam, R) <= max_dim:
+            return fam
+    return None
+
+
+@st.composite
+def cover_spaces(draw):
+    """random_space spaces up to 126 points (the largest the suites cover),
+    plus grids and cycles, whose tied distances exercise the index rule."""
+    kind = draw(st.sampled_from(["random", "grid", "cycle"]))
+    if kind == "grid":
+        return grid_space(draw(st.integers(1, 11)), draw(st.integers(1, 11)))
+    if kind == "cycle":
+        return cycle_space(draw(st.integers(3, 126)))
+    return random_space(random.Random(draw(st.integers(0, 2**32 - 1))), 126)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_spaces(), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 2.0, 3.0, 5.0]),
+       st.integers(0, 3))
+def test_random_cover_matches_sort_reference(sp, seed, R, max_dim):
+    got_rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = random_cover(got_rng, sp, R, max_dim=max_dim)
+    ref = _ref_random_cover(ref_rng, sp, R, max_dim=max_dim)
+    assert got_rng.getstate() == ref_rng.getstate()
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert got.space is sp and got.sets == ref.sets
+        assert all(type(x) is int for s in got.sets for x in s)
 
 
 @settings(max_examples=40, deadline=None)
