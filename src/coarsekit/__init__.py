@@ -8,7 +8,6 @@ re-checked against its own certificate before it is returned.
 
 from .controls import LinearControl, StepFunction, as_control
 from .coarse_maps import (
-    AsdimZeroReport,
     CoarseMap,
     Factorization,
     GroupAction,
@@ -25,7 +24,6 @@ from .coarse_maps import (
     n_to_1_profile,
     pullback_family,
     pushforward_cover,
-    pushforward_disjointify,
     symmetrize_metric,
     verify_n_to_1,
 )
@@ -64,7 +62,6 @@ from .metric_core import (
     components,
     diameter,
     hausdorff_distance,
-    inner_neighborhood,
     neighborhood,
     r_components,
 )

@@ -9,13 +9,14 @@ from typing import Optional
 
 import numpy as np
 
-from .controls import LinearControl, StepFunction
-from .covers import FamilyOfSets, dim_at_scale, is_r_disjoint, make_disjoint, on_carrier
+from .controls import LinearControl, StepFunction, as_control
+from .covers import FamilyOfSets, dim_at_scale, is_r_disjoint, on_carrier
 from .errors import CertificateError, InputError, PreconditionError, Refusal, check_number
 from .metric_core import (
     FiniteMetricSpace,
     Subset,
     _block,
+    _check_points,
     bits,
     diameter,
     point_masks,
@@ -32,7 +33,6 @@ __all__ = [
     "n_to_1_control",
     "min_max_diameter_partition",
     "pushforward_cover",
-    "pushforward_disjointify",
     "factorize",
     "symmetrize_metric",
     "group_quotient",
@@ -121,7 +121,10 @@ def maximal_r_bounded_sets(space: FiniteMetricSpace, r: float, *, within=None):
     may reach 2r).  Returns (sets, exact_flag).
     """
     check_number(r, "r")
-    pts = sorted(within) if within is not None else list(range(space.n))
+    if within is None:
+        pts = list(range(space.n))
+    else:
+        pts = sorted(_check_points(space, tuple(within), "within"))
     if len(pts) <= CLIQUE_ENUM_CAP:
         adj = _block(space.dmat, pts) <= r
         cliques = sorted(tuple(sorted(pts[i] for i in c)) for c in _maximal_cliques(adj))
@@ -243,7 +246,7 @@ def min_max_diameter_partition(space: FiniteMetricSpace, members: frozenset, n: 
     conflict graph {pairs with d > c}; candidates are the realized pairwise
     distances.  Returns (value, parts).
     """
-    pts = sorted(members)
+    pts = sorted(_check_points(space, tuple(members), "members"))
     k = len(pts)
     if k == 0:
         raise PreconditionError("empty set has no partition")
@@ -357,8 +360,7 @@ def verify_n_to_1(f: CoarseMap, n: int, C, r: float):
     conservative again, it may reject but never accepts falsely.  Returns
     (ok, witness).
     """
-    check_number(r, "r")
-    cr = C(r)
+    cr = as_control(C)(check_number(r, "r"))
     subsets, exact = maximal_r_bounded_sets(f.codomain, r)
     if not exact:
         subsets = dict.fromkeys(
@@ -386,6 +388,7 @@ def pushforward_cover(f: CoarseMap, U: FamilyOfSets, r: float, n: int, C) -> Fam
     """Image family f(U) on f(X), with the dimension bound
     dim_r(f(U)) <= (dim_{C(r)}(U) + 1) * n - 1 verified.
     """
+    C = as_control(C)
     check_number(r, "r")
     if U.space is not f.domain:
         raise InputError("cover must live on the domain")
@@ -401,8 +404,7 @@ def pushforward_cover(f: CoarseMap, U: FamilyOfSets, r: float, n: int, C) -> Fam
 
 def _check_image_dim(U: FamilyOfSets, out: FamilyOfSets, r: float, n: int, C) -> FamilyOfSets:
     """pushforward_cover's certificate: dim_r(out) <= (dim_{C(r)}(U) + 1) * n - 1."""
-    closed = C.expansion_closed() if hasattr(C, "expansion_closed") else True
-    m = dim_at_scale(U, C(r), closed=closed)
+    m = dim_at_scale(U, C(r), closed=C.expansion_closed())
     bound = (m + 1) * n - 1
     got = dim_at_scale(out, r)
     if got > bound:
@@ -410,20 +412,6 @@ def _check_image_dim(U: FamilyOfSets, out: FamilyOfSets, r: float, n: int, C) ->
             f"pushforward dimension {got} exceeds the bound {bound}", witness=(r, m)
         )
     return out
-
-
-def pushforward_disjointify(f: CoarseMap, U: FamilyOfSets, r: float, n: int, C):
-    """Pushforward then disjointify: <= n*(m+1) color classes on f(X), each
-    r/(n*(m+1))-disjoint, where m = dim_{C(r)}(U); covers f(X).
-
-    Returns (colored family on the image subspace, trace, m).
-    """
-    check_number(r, "r")
-    closed = C.expansion_closed() if hasattr(C, "expansion_closed") else True
-    m = dim_at_scale(U, C(r), closed=closed)
-    img = pushforward_cover(f, U, r, n, C)
-    colored, trace = make_disjoint(img, r, n * (m + 1) - 1)
-    return colored, trace, m
 
 
 @dataclass(frozen=True)
@@ -627,28 +615,19 @@ def _check_1_lipschitz(p: CoarseMap) -> CoarseMap:
     return p
 
 
-@dataclass(frozen=True)
-class AsdimZeroReport:
-    ok: bool
-    worst_components: int
-    worst_diam: float
-    diam_bound: float
-    witness: Optional[frozenset]
-
-
-def asdim_zero_witness(f: CoarseMap, n: int, C, r: float, R: float) -> AsdimZeroReport:
+def asdim_zero_witness(f: CoarseMap, n: int, C, r: float, R: float) -> NTo1Profile:
     """Certify the degree-zero behavior: for every maximal r-bounded B, the
-    R-components of f^{-1}(B) number at most n and have diameter <= 2nR."""
-    check_number(r, "r")
-    if check_number(R, "R") < C(r):
-        raise PreconditionError(f"R={R} must be at least C(r)={C(r)}")
+    R-components of f^{-1}(B) number at most n and have diameter <= 2nR.
+    Returns the profile it certified."""
+    cr = as_control(C)(check_number(r, "r"))
+    if check_number(R, "R") < cr:
+        raise PreconditionError(f"R={R} must be at least C(r)={cr}")
     prof = n_to_1_profile(f, r, R)
     bound = 2 * n * R
-    ok = prof.max_components <= n and prof.max_component_diam <= bound
-    if not ok:
+    if prof.max_components > n or prof.max_component_diam > bound:
         raise CertificateError(
             "fiber components violate the coarsely n-to-1 certificate "
             f"(count {prof.max_components} vs n={n}, diam {prof.max_component_diam} vs {bound})",
             witness=prof.witness,
         )
-    return AsdimZeroReport(ok, prof.max_components, prof.max_component_diam, bound, prof.witness)
+    return prof

@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CertificateError, InputError, PreconditionError, check_number, is_int
-from .metric_core import FiniteMetricSpace, _block, _dist_outside
+from .errors import CertificateError, InputError, PreconditionError, check_number
+from .metric_core import FiniteMetricSpace, _block, _check_points, _dist_outside
 
 __all__ = [
     "FamilyOfSets",
@@ -62,11 +62,8 @@ class FamilyOfSets:
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
-        n = self.space.n
         for k, s in enumerate(self.sets):
-            bad = [i for i in s if not (is_int(i) and 0 <= i < n)]
-            if bad:
-                raise InputError(f"set {k} has members {bad} that are not points of the space")
+            _check_points(self.space, s, f"set {k} members")
         if self.colors is not None:
             colors = tuple(int(c) for c in self.colors)
             object.__setattr__(self, "colors", colors)

@@ -14,18 +14,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controls import as_control
-from .coarse_maps import CoarseMap, control_upper
+from .coarse_maps import CoarseMap, pullback_family
 from .covers import FamilyOfSets, check_families, dim_at_scale, is_r_disjoint, on_carrier, split_on_carrier
 from .errors import CertificateError, InputError, PreconditionError, Refusal, check_number
-from .metric_core import (
-    FiniteMetricSpace,
-    Subset,
-    bits,
-    bounded_components,
-    components,
-    point_masks,
-    r_components,
-)
+from .metric_core import FiniteMetricSpace, bits, bounded_components, components, point_masks
 
 __all__ = [
     "ApcWitness",
@@ -407,9 +399,10 @@ def apc_pullback(
     """Transfer a witness backwards along a map with degree-zero fibers.
 
     Output family i consists of the R_m-components (R_m = largest target
-    scale) of the preimages of w's family i; preimages of an E(R_i)-disjoint
-    family are R_i-disjoint and splitting into components only refines.
-    M bounds component diameters (from the degree-zero certificate).
+    scale) of the preimages of w's family i, pulled back by
+    ``pullback_family``: preimages of an E(R_i)-disjoint family are
+    R_i-disjoint and splitting into components only refines.  M bounds
+    component diameters (from the degree-zero certificate).
     """
     scales = [float(check_number(r, "target_scales")) for r in target_scales]
     check_number(M, "M")
@@ -417,20 +410,13 @@ def apc_pullback(
         raise InputError("one nondecreasing target scale per family required")
     if w.space is not f.codomain:
         raise InputError("witness must live on the codomain")
-    E = control_upper(f)
     Rm = scales[-1]
     out_families = []
-    for i, (Ri, fam) in enumerate(zip(scales, w.families)):
-        ok, wit = is_r_disjoint(fam, E(Ri))
-        if not ok:
-            raise PreconditionError(
-                f"family {i + 1} is not E(R_{i + 1})={E(Ri)}-disjoint; witness {wit}"
-            )
-        pieces = []
-        for s in fam.sets:
-            pre = f.preimage(s)
-            if not pre:
-                continue
-            pieces.extend(comp.members for comp in r_components(Subset(f.domain, pre), Rm))
+    for i, (Ri, fam) in enumerate(zip(scales, w.families), start=1):
+        try:
+            pre = pullback_family(f, fam, Ri)
+        except PreconditionError as e:
+            raise PreconditionError(f"family {i}: {e}") from None
+        pieces = (c for s in pre.sets for c in components(f.domain, s, Rm, strict=False))
         out_families.append(FamilyOfSets(f.domain, tuple(pieces)))
     return _certified(ApcWitness(f.domain, tuple(scales), tuple(out_families)), M)

@@ -23,11 +23,13 @@ components with one walk, ``_mask_components(near, mask)``, which grows each
 component from its least point along the ``near`` masks.
 
 All comparisons are exact comparisons on the stored float values, with no
-epsilon: exact for l1/linf clouds and rational-valued matrices and graphs.  l2
-cloud distances are rounded square roots, so l2 comparisons at equality follow
-the rounding.  Clouds are metrics by construction and are not re-checked for
-the triangle inequality (rounding can break it), only for finite distances
-and distinct points.
+epsilon: exact for l1/linf clouds, rational-valued matrices and
+integer-weighted graphs.  l2 cloud distances are rounded square roots, and
+graph distances over non-integer weights are rounded sums (the smaller of the
+two directions' sums is stored on both sides, so the table is symmetric), so
+comparisons at equality follow the rounding.  Clouds and graphs are metrics
+by construction and are not re-checked for the triangle inequality (rounding
+can break it), only for finite distances, and clouds for distinct points.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "build_space",
     "verify_metric",
     "neighborhood",
-    "inner_neighborhood",
     "hausdorff_distance",
     "components",
     "r_components",
@@ -170,6 +171,17 @@ class FiniteMetricSpace:
         return f"FiniteMetricSpace(n={self.n})"
 
 
+def _check_points(space: FiniteMetricSpace, members, what: str):
+    """``members`` unchanged when each is a point index of ``space``: an
+    integer, not a bool, in 0 <= i < n.  InputError naming ``what`` otherwise;
+    numpy would read a negative index from the end of the table."""
+    n = space.n
+    bad = [i for i in members if not (is_int(i) and 0 <= i < n)]
+    if bad:
+        raise InputError(f"{what} {bad} are not points of the owning space")
+    return members
+
+
 @dataclass(frozen=True)
 class Subset:
     """A subset of a space's points, held as a frozenset of indices."""
@@ -178,10 +190,7 @@ class Subset:
     members: frozenset
 
     def __post_init__(self):
-        n = self.space.n
-        bad = [i for i in self.members if not (is_int(i) and 0 <= i < n)]
-        if bad:
-            raise InputError(f"subset members {bad} are not points of the owning space")
+        _check_points(self.space, self.members, "subset members")
 
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
@@ -246,6 +255,9 @@ def build_space(descriptor: dict) -> FiniteMetricSpace:
         dmat = shortest_path(adj, method="D", directed=False)
         if not np.all(np.isfinite(dmat)):
             raise MetricError("graph is disconnected")
+        # each row sums its paths from its own source, so d(i, j) and d(j, i)
+        # may differ in the last bit; the smaller is kept on both sides
+        dmat = np.minimum(dmat, dmat.T)
         return FiniteMetricSpace(labels, dmat, validate=False)
     raise InputError(f"unknown descriptor kind {kind!r}")
 
@@ -268,18 +280,6 @@ def neighborhood(A: Subset, R: float, *, closed: bool = False) -> Subset:
     hit = (mind <= R) if closed else (mind < R)
     out = frozenset(int(i) for i in np.nonzero(hit)[0]) | A.members
     return Subset(sp, out)
-
-
-def inner_neighborhood(A: Subset, R: float) -> Subset:
-    """{x in A : B({x}, R) is contained in A}; the -R shrinking of A."""
-    check_number(R, "R")
-    sp = A.space
-    if not A.members or len(A.members) == sp.n:
-        return A
-    row = np.zeros((1, sp.n), dtype=bool)
-    row[0, list(A.members)] = True
-    keep = row[0] & (_dist_outside(sp, row)[0] >= R)
-    return Subset(sp, frozenset(np.flatnonzero(keep).tolist()))
 
 
 def _dist_outside(space: FiniteMetricSpace, membership: np.ndarray) -> np.ndarray:
@@ -314,7 +314,7 @@ def components(
     Returns frozensets ordered by their least member.
     """
     check_number(R, "R")
-    idx = sorted(members)
+    idx = sorted(_check_points(space, tuple(members), "members"))
     sub = _block(space.dmat, idx)
     near = point_masks(sub < R if strict else sub <= R)
     comps = _mask_components(near, (1 << len(idx)) - 1)

@@ -16,6 +16,7 @@ from .errors import CertificateError, InputError, PreconditionError, check_numbe
 from .metric_core import (
     FiniteMetricSpace,
     Subset,
+    _check_points,
     bits,
     bounded_components,
     components,
@@ -399,7 +400,7 @@ def map_msp_check(
         check_number(v, name)
     if R < 0 or S < 0 or K < 0 or not 0 < c < 1:
         raise InputError("need R, S, K >= 0 and 0 < c < 1")
-    members = A.members if isinstance(A, Subset) else frozenset(A)
+    members = _check_points(f.codomain, A.members if isinstance(A, Subset) else frozenset(A), "A")
     blocks, exact_blocks = maximal_r_bounded_sets(f.codomain, K, within=members)
     worst = None
     details = []

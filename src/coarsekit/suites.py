@@ -16,10 +16,10 @@ from .controls import LinearControl
 from .covers import FamilyOfSets, dim_at_scale, make_disjoint
 from .coarse_maps import (
     GroupAction,
+    asdim_zero_witness,
     control_upper,
     factorize,
     group_quotient,
-    n_to_1_profile,
     pushforward_cover,
     verify_n_to_1,
 )
@@ -91,7 +91,8 @@ def _random_controlled_map(rng):
 
 
 def suite_fibers(seed: int, count: int = 100) -> dict:
-    """Component count <= n and diameter <= 2nR over maximal r-bounded sets."""
+    """Component count <= n and diameter <= 2nR over maximal r-bounded sets,
+    certified by ``asdim_zero_witness``."""
     rng = random.Random(seed)
     failures = []
     for i in range(count):
@@ -99,11 +100,10 @@ def suite_fibers(seed: int, count: int = 100) -> dict:
         dists = [d for d in f.codomain.realized_distances() if d > 0]
         for r in rng.sample(dists, min(3, len(dists))):
             for R in (C(r), C(r) + 1.0, 2 * C(r)):
-                prof = n_to_1_profile(f, r, R)
-                if prof.max_components > n or prof.max_component_diam > 2 * n * R:
-                    failures.append({"instance": i, "r": r, "R": R,
-                                     "components": prof.max_components,
-                                     "diam": prof.max_component_diam})
+                try:
+                    asdim_zero_witness(f, n, C, r, R)
+                except CertificateError as e:
+                    failures.append({"instance": i, "r": r, "R": R, "error": str(e)})
     return {"suite": "fibers", "seed": seed, "count": count,
             "passed": count - len({f["instance"] for f in failures}),
             "failures": failures}

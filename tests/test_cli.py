@@ -432,6 +432,18 @@ class TestMspCommands:
         assert code == 0
         assert report["result"]["achievable"] is True
 
+    @pytest.mark.parametrize("points", ["99", "-1", "0,-2"])
+    def test_check_set_outside_the_codomain_is_usage_error(self, capsys, fold3, points):
+        # 99 once failed with an IndexError, -1 once read point 3 and exited 0
+        dom, cod, f = fold3
+        code, report, err = run(
+            capsys,
+            ["msp", "check", "--domain", dom, "--codomain", cod, "--map", f, f"--set={points}",
+             "--big-r", "10", "--big-s", "0", "--c", "0.25", "--big-k", "0"],
+        )
+        assert code == 2 and report is None
+        assert "are not points of the owning space" in err
+
     def test_push(self, capsys, tmp_path):
         dom = write(tmp_path, "d9.json", cloud(-9, 9))
         cod = write(tmp_path, "c9.json", cloud(0, 9))
@@ -495,3 +507,19 @@ class TestDeterminism:
         )
         assert "output" not in report["parameters"]
         assert "timing" not in report["parameters"]
+
+
+def test_apc_pull_tie_at_the_control_value_exits_one(capsys, tmp_path):
+    # E(2) = 1 on the two-point path: {0}, {1} is E(2)-disjoint, yet its
+    # preimages are 1 apart, which pullback_family's re-check reports
+    sp = write(tmp_path, "sp.json", cloud(0, 1))
+    f = write(tmp_path, "f.json", {"assign": [0, 1]})
+    w = write(tmp_path, "w.json", {"scales": [2.0], "families": [{"sets": [[0], [1]]}]})
+    code, report, _ = run(
+        capsys,
+        ["apc", "pull", "--domain", sp, "--codomain", sp, "--map", f, "--witness", w,
+         "--target-scales", "2", "--bound", "10"],
+    )
+    assert code == 1 and report["status"] == "violation"
+    assert report["error"]["type"] == "CertificateError"
+    assert "tie at the control value" in report["error"]["message"]

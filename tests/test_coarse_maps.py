@@ -7,6 +7,7 @@ from coarsekit import (
     CertificateError,
     CoarseMap,
     FamilyOfSets,
+    InputError,
     LinearControl,
     PreconditionError,
     Refusal,
@@ -19,12 +20,12 @@ from coarsekit import (
     group_quotient,
     hausdorff_distance,
     is_r_disjoint,
-    mesh,
+    maximal_r_bounded_sets,
+    min_max_diameter_partition,
     n_to_1_control,
     n_to_1_profile,
     pullback_family,
     pushforward_cover,
-    pushforward_disjointify,
     symmetrize_metric,
     verify_n_to_1,
 )
@@ -202,37 +203,6 @@ class TestPushforwardCover:
         assert len(out.sets) == 3 and dim_at_scale(out, 1.0) == 2
 
 
-class TestPushforwardDisjointify:
-    def test_fold_singletons(self):
-        f = fold_map(5)
-        U = fam(f.domain, *({p} for p in range(f.domain.n)))
-        colored, trace, m = pushforward_disjointify(
-            f, U, 1.0, 2, LinearControl(1.0, inclusive=False)
-        )
-        assert m == 0
-        assert colored.n_colors <= 2
-        for c in range(colored.n_colors):
-            ok, _ = is_r_disjoint(colored.color_class(c), 1.0 / 2)
-            assert ok
-        assert mesh(colored) <= control_upper(f)(0.0) + 1.0
-
-    def test_cycle_quotient_antipodal_cover(self):
-        act = rotation_action(6, 2)
-        gq = group_quotient(act)
-        f = gq.projection
-        U = fam(f.domain, *(sorted(o) for o in gq.orbits))
-        colored, trace, m = pushforward_disjointify(
-            f, U, 1.0, 2, LinearControl(2.0, inclusive=False)
-        )
-        assert m == 0
-        assert colored.n_colors <= 2 * (m + 1)
-        for c in range(colored.n_colors):
-            ok, _ = is_r_disjoint(colored.color_class(c), 1.0 / (2 * (m + 1)))
-            assert ok
-        E = control_upper(f)
-        assert mesh(colored) <= E(mesh(U)) + 1.0
-
-
 class TestFactorize:
     def test_fold_eleven_classes(self):
         f = fold_map(5)
@@ -382,17 +352,65 @@ class TestAsdimZeroWitness:
     def test_fold(self):
         f = fold_map(5)
         rep = asdim_zero_witness(f, 2, LinearControl(1.0), 2.0, 2.0)
-        assert rep.worst_components == 2
-        assert rep.worst_diam == 2.0 <= 2 * 2 * 2.0
+        assert rep.max_components == 2
+        assert rep.max_component_diam == 2.0 <= 2 * 2 * 2.0
 
     def test_identity(self):
         sp = integers(0, 9)
         rep = asdim_zero_witness(identity_map(sp), 1, LinearControl(1.0), 3.0, 3.0)
-        assert rep.worst_components == 1
-        assert rep.worst_diam <= 3.0
+        assert rep.max_components == 1
+        assert rep.max_component_diam <= 3.0
 
     def test_cycle_quotient(self):
         gq = group_quotient(rotation_action(6, 2))
         rep = asdim_zero_witness(gq.projection, 2, LinearControl(2.0), 1.0, 2.0)
-        assert rep.worst_components <= 2
-        assert rep.worst_diam <= 8.0
+        assert rep.max_components <= 2
+        assert rep.max_component_diam <= 8.0
+
+
+class TestRawPointIndices:
+    # a negative index once read the table from its end, and a float failed
+    # with a bare IndexError
+    @pytest.mark.parametrize("points", [{-1, 0, 1}, {0, 7}, {0, 1.0}],
+                             ids=["negative", "too-large", "float"])
+    def test_partition_members(self, points):
+        with pytest.raises(InputError, match="^members .* are not points of the owning space$"):
+            min_max_diameter_partition(path_space(5), points, 2)
+
+    @pytest.mark.parametrize("points", [{-1, 0}, {0, 7}, {0, 1.0}],
+                             ids=["negative", "too-large", "float"])
+    def test_bounded_sets_within(self, points):
+        with pytest.raises(InputError, match="^within .* are not points of the owning space$"):
+            maximal_r_bounded_sets(path_space(5), 1.0, within=points)
+
+    def test_valid_points_accepted(self):
+        sp = path_space(5)
+        value, parts = min_max_diameter_partition(sp, {0, 1, 4}, 2)
+        assert value == 1.0 and sorted(parts, key=min) == [frozenset({0, 1}), frozenset({4})]
+        assert maximal_r_bounded_sets(sp, 1.0, within={0, 1, 3}) == (
+            [frozenset({0, 1}), frozenset({3})], True)
+
+
+class TestOneControlRule:
+    # a JSON-dict control once failed with "'dict' object is not callable" at
+    # these three entries, while the transfers accepted it
+    DICT = {"type": "linear", "a": 1.0, "b": 0.0}
+
+    def test_dict_control_accepted(self):
+        f = fold_map(5)
+        U = fam(f.domain, *({p} for p in range(f.domain.n)))
+        assert verify_n_to_1(f, 2, self.DICT, 1.0) == verify_n_to_1(f, 2, LinearControl(1.0), 1.0)
+        assert pushforward_cover(f, U, 1.0, 2, self.DICT).sets == pushforward_cover(
+            f, U, 1.0, 2, LinearControl(1.0)).sets
+        assert asdim_zero_witness(f, 2, self.DICT, 1.0, 1.0) == n_to_1_profile(f, 1.0, 1.0)
+
+    @pytest.mark.parametrize("entry", ["verify", "push", "asdim-zero"])
+    def test_bare_callable_rejected(self, entry):
+        f = fold_map(5)
+        U = fam(f.domain, *({p} for p in range(f.domain.n)))
+        C = lambda r: r  # noqa: E731
+        call = {"verify": lambda: verify_n_to_1(f, 2, C, 1.0),
+                "push": lambda: pushforward_cover(f, U, 1.0, 2, C),
+                "asdim-zero": lambda: asdim_zero_witness(f, 2, C, 1.0, 1.0)}[entry]
+        with pytest.raises(InputError, match="as a control function"):
+            call()

@@ -246,3 +246,19 @@ class TestApcPullback:
         with pytest.raises(PreconditionError):
             # gap 2 < E(3) = 3
             apc_pullback(f, w, (3.0,), M=10.0)
+
+    def test_precondition_names_the_family_from_one(self):
+        f = fold_map(9)
+        Y = f.codomain
+        w = ApcWitness(Y, (1.0, 3.0), (fam(Y, {0, 1}, {5, 6}),
+                                       fam(Y, {0, 1}, {3, 4}, {6, 7, 8, 9})))
+        # family 2 has gap 2 < E(3) = 3
+        with pytest.raises(PreconditionError, match=r"^family 2: family is not E\(d\)=3.0-"):
+            apc_pullback(f, w, (1.0, 3.0), M=10.0)
+
+    def test_tie_at_the_control_value_is_pullback_family_s(self):
+        # E(2) = 1 on the two-point path: {0}, {1} is E(2)-disjoint, yet 1 apart
+        sp = path_space(2)
+        w = ApcWitness(sp, (2.0,), (fam(sp, {0}, {1}),))
+        with pytest.raises(CertificateError, match="tie at the control value"):
+            apc_pullback(identity_map(sp), w, (2.0,), M=10.0)

@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, every
 private module-level function or class is used somewhere in the package,
+every exported name is read by the package or named by the benchmark,
 point-set bitmasks are built and walked only in ``metric_core``, report values
 are encoded only in ``serialization``, the distance
 to a complement is read from the distance table only in
@@ -19,6 +20,7 @@ any module of the package, reads it.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +58,16 @@ def _annotations(tree):
             yield node.annotation
 
 
+def _all_names(tree):
+    """The ``__all__`` statement of a module and its names; (None, []) without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return node, ast.literal_eval(node.value)
+    return None, []
+
+
 def _used(tree):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for ann in _annotations(tree):
@@ -63,12 +75,7 @@ def _used(tree):
             if isinstance(n, ast.Constant) and isinstance(n.value, str):
                 used |= {m.id for m in ast.walk(ast.parse(n.value, mode="eval"))
                          if isinstance(m, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= set(ast.literal_eval(node.value))
-    return used
+    return used | set(_all_names(tree)[1])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -99,6 +106,30 @@ def test_no_unused_private_definitions():
                     and not any(node.name in names for other, names in reads if other is not node)):
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert not unused, f"private definitions nothing reads: {', '.join(unused)}"
+
+
+BENCH = SRC.parent.parent / "bench"
+
+
+def test_every_export_has_a_caller():
+    # the public sibling of the scan above: an exported name is read by a
+    # top-level statement of the package other than its own definition and
+    # ``__all__`` (``__init__.py``, the re-exports, does not count), or named
+    # in the benchmark, whose span table wraps library entries by name
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    reads = [(node, set(_reads(node))) for tree in trees.values() for node in tree.body]
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py")))
+    unread, exported = [], 0
+    for name, tree in trees.items():
+        exports, names = _all_names(tree)
+        exported += len(names)
+        for export in names:
+            if not (any(export in got for node, got in reads
+                        if node is not exports and getattr(node, "name", None) != export)
+                    or re.search(rf"\b{re.escape(export)}\b", bench)):
+                unread.append(f"{name} {export}")
+    assert exported, "the scan no longer sees any __all__"
+    assert not unread, f"exports nothing in the package or the benchmark reads: {', '.join(unread)}"
 
 
 def _mask_idioms(tree):

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from coarsekit import (
+    FamilyOfSets,
     FiniteMetricSpace,
     InputError,
     MetricError,
     PreconditionError,
     Subset,
     build_space,
+    components,
     diameter,
     hausdorff_distance,
-    inner_neighborhood,
     neighborhood,
     r_components,
 )
@@ -125,6 +126,41 @@ class TestBuildSpace:
             build_space({"kind": "graph", "edges": [], "labels": []})
 
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_graph_with_fractional_weights_is_symmetric(self, seed):
+        # Dijkstra sums each path from its own source, so the two directions
+        # of a pair once differed in the last bit
+        rng = np.random.default_rng(seed)
+        n = 30
+        tree = [[i, int(rng.integers(i)), 0.1] for i in range(1, n)]
+        extra = [[int(a), int(b), 0.1] for a, b in rng.integers(n, size=(40, 2)) if a != b]
+        edges = [[i, j, float(rng.choice([0.1, 0.3, 1 / 3]))] for i, j, _ in tree + extra]
+        sp = build_space({"kind": "graph", "edges": edges})
+        assert np.array_equal(sp.dmat, sp.dmat.T)
+
+    def test_integer_weight_graph_keeps_its_path_sums(self):
+        sp = build_space({"kind": "graph", "edges": [[0, 1, 2], [1, 2, 3], [2, 3, 1], [3, 0, 7]]})
+        assert sp.dmat.tolist() == [[0, 2, 5, 6], [2, 0, 3, 4], [5, 3, 0, 1], [6, 4, 1, 0]]
+
+
+class TestPointIndices:
+    # a negative index once read the table from its end, and a float failed
+    # with a bare IndexError
+    @pytest.mark.parametrize("members", [[-1, 0], [0, 5], [0, 1.0], [True, 2], ["a"]],
+                             ids=["negative", "too-large", "float", "bool", "text"])
+    def test_components_rejects_non_points(self, members):
+        with pytest.raises(InputError, match="are not points of the owning space"):
+            components(path_space(5), members, 1.0, strict=False)
+
+    def test_components_accepts_numpy_integers(self):
+        assert components(path_space(5), np.arange(3), 1.0, strict=True) == tuple(
+            frozenset({i}) for i in range(3))
+
+    def test_family_names_the_set(self):
+        with pytest.raises(InputError, match=r"^set 1 members \[-1\] are not points"):
+            FamilyOfSets(path_space(5), ({0}, {-1}))
+
+
 class TestNeighborhood:
     def test_strict_ball_around_singleton(self):
         sp = integers(0, 10)
@@ -148,31 +184,6 @@ class TestNeighborhood:
             cur = neighborhood(A, R).members
             assert prev <= cur
             prev = cur
-
-
-class TestInnerNeighborhood:
-    def test_example(self):
-        sp = integers(0, 10)
-        out = inner_neighborhood(Subset(sp, set(range(6))), 1.5)
-        assert out.members == frozenset({0, 1, 2, 3, 4})
-
-    def test_radius_zero_is_identity(self):
-        sp = integers(0, 10)
-        A = Subset(sp, {1, 4, 9})
-        assert inner_neighborhood(A, 0.0).members == A.members
-
-    def test_whole_space_fixed(self):
-        sp = integers(0, 10)
-        A = sp.full()
-        assert inner_neighborhood(A, 100.0).members == A.members
-
-    def test_outer_then_inner_contains_original(self):
-        sp = integers(0, 10)
-        for members in [{3}, {0, 1, 2}, {5, 9}]:
-            for R in [1.0, 1.5, 3.0]:
-                A = Subset(sp, members)
-                grown = neighborhood(A, R)
-                assert A.members <= inner_neighborhood(grown, R).members
 
 
 class TestHausdorff:

@@ -34,7 +34,6 @@ from coarsekit import (
     dim_at_scale,
     factorize,
     half_mass_witness,
-    inner_neighborhood,
     is_r_disjoint,
     make_disjoint,
     map_msp_check,
@@ -46,7 +45,6 @@ from coarsekit import (
     neighborhood,
     pullback_family,
     pushforward_cover,
-    pushforward_disjointify,
     pushforward_measure,
     r_components,
     transfer_measure_selection,
@@ -380,6 +378,13 @@ class TestMapMspCheck:
         with pytest.raises(InputError):
             map_msp_check(f, f.codomain.full(), 1.0, 1.0, 1.5, 1.0)
 
+    @pytest.mark.parametrize("A", [{99}, {-1}, {0, 1.0}], ids=["too-large", "negative", "float"])
+    def test_set_outside_the_codomain_rejected(self, A):
+        # -1 once read the last codomain point and 99 failed with an IndexError
+        f = fold_map(3)
+        with pytest.raises(InputError, match=r"^A \[.*\] are not points of the owning space$"):
+            map_msp_check(f, A, 10.0, 0.0, 0.25, 0.0)
+
 
 def _whole(sp):
     return fam(sp, range(sp.n))
@@ -426,7 +431,6 @@ NAN_CASES = {
                                         R_Y=nan),
     "measure-weights": lambda sp: ProbMeasure(sp, (1.0,) * 7 + (nan,)),
     "neighborhood-R": lambda sp: neighborhood(Subset(sp, frozenset({0})), nan),
-    "inner-neighborhood-R": lambda sp: inner_neighborhood(Subset(sp, frozenset(range(4))), nan),
     "components-R": lambda sp: components(sp, range(8), nan, strict=True),
     "r-components-R": lambda sp: r_components(sp.full(), nan),
     "dim-R": lambda sp: dim_at_scale(_whole(sp), nan),
@@ -445,8 +449,6 @@ NAN_CASES = {
     "control-c_cap": lambda sp: n_to_1_control(identity_map(sp), 1, c_cap=nan),
     "verify-n-to-1-r": lambda sp: verify_n_to_1(identity_map(sp), 1, _C, nan),
     "push-cover-r": lambda sp: pushforward_cover(identity_map(sp), _whole(sp), nan, 1, _C),
-    "push-disjointify-r": lambda sp: pushforward_disjointify(identity_map(sp), _whole(sp), nan,
-                                                             1, _C),
     "factorize-R": lambda sp: factorize(identity_map(sp), nan),
     "asdim-zero-r": lambda sp: asdim_zero_witness(identity_map(sp), 1, _C, nan, 1.0),
     "asdim-zero-R": lambda sp: asdim_zero_witness(identity_map(sp), 1, _C, 1.0, nan),

@@ -31,7 +31,6 @@ from coarsekit import (
     diameter,
     dim_at_scale,
     hausdorff_distance,
-    inner_neighborhood,
     is_partition_tree,
     is_r_disjoint,
     lebesgue_number,
@@ -116,8 +115,6 @@ def test_neighborhood_monotone_and_nested(data, R1, R2):
     lo, hi = sorted((R1, R2))
     assert neighborhood(A, lo).members <= neighborhood(A, hi).members
     assert A.members <= neighborhood(A, lo).members
-    assert inner_neighborhood(A, hi).members <= inner_neighborhood(A, lo).members
-    assert A.members <= inner_neighborhood(neighborhood(A, lo), lo).members
 
 
 def _step(sp, R, strict):

@@ -49,6 +49,7 @@ from coarsekit import (
     group_quotient,
     make_disjoint,
     msp_pullback,
+    n_to_1_profile,
     partition_refine,
     pullback_family,
     pushforward_cover,
@@ -238,7 +239,7 @@ def test_one_lipschitz_check_witness_is_first_in_row_major_order():
 def test_asdim_zero_witness_counts_components():
     f = fold_map(5)
     C = LinearControl(1.0)
-    assert asdim_zero_witness(f, 2, C, 1.0, 1.0).ok
+    assert asdim_zero_witness(f, 2, C, 1.0, 1.0) == n_to_1_profile(f, 1.0, 1.0)
     rejects(lambda: asdim_zero_witness(f, 1, C, 1.0, 1.0), "coarsely n-to-1")
 
 
