@@ -114,25 +114,37 @@ def pullback_family(f: CoarseMap, V: FamilyOfSets, d: float) -> FamilyOfSets:
 
 
 def maximal_r_bounded_sets(space: FiniteMetricSpace, r: float, *, within=None):
-    """Maximal subsets of diameter <= r, as maximal cliques of the d<=r graph.
+    """Maximal subsets of diameter <= r, as maximal cliques of the d<=r graph,
+    sorted.  Returns (sets, exact_flag).
 
-    Exact when the point count is <= CLIQUE_ENUM_CAP; above that, closed balls
-    B(y, r) are used instead (every r-bounded set lies in one; their diameter
-    may reach 2r).  Returns (sets, exact_flag).
+    Above CLIQUE_ENUM_CAP points the cliques are enumerated inside each closed
+    ball B(y, r): y is adjacent to the whole ball, so its maximal cliques are
+    exactly the maximal sets holding y.  A ball itself above the cap stands
+    whole for its sets (its diameter may reach 2r), and the flag is False.
     """
     check_number(r, "r")
     if within is None:
         pts = list(range(space.n))
     else:
         pts = sorted(_check_points(space, tuple(within), "within"))
-    if len(pts) <= CLIQUE_ENUM_CAP:
-        adj = _block(space.dmat, pts) <= r
-        cliques = sorted(tuple(sorted(pts[i] for i in c)) for c in _maximal_cliques(adj))
-        return [frozenset(c) for c in cliques], True
-    balls = set()
-    for y in pts:
-        balls.add(frozenset(z for z in pts if space.dmat[y, z] <= r))
-    return sorted(balls, key=sorted), False
+    groups = [tuple(pts)]
+    if len(pts) > CLIQUE_ENUM_CAP:
+        near = _block(space.dmat, pts) <= r
+        groups = dict.fromkeys(tuple(pts[j] for j in np.flatnonzero(row)) for row in near)
+    found = set()
+    for g in groups:
+        if len(g) > CLIQUE_ENUM_CAP:
+            found.add(g)
+        else:
+            cliques = _maximal_cliques(_block(space.dmat, g) <= r)
+            found.update(tuple(sorted(g[i] for i in c)) for c in cliques)
+    return [frozenset(c) for c in sorted(found)], max(map(len, groups)) <= CLIQUE_ENUM_CAP
+
+
+def _fiber_blocks(f: CoarseMap, r: float, within=None):
+    """The n-to-1 walk: ([(B, f^-1(B)) for each maximal r-bounded B], exact), no empty f^-1(B)."""
+    subsets, exact = maximal_r_bounded_sets(f.codomain, r, within=within)
+    return [(B, pre) for B in subsets if (pre := f.preimage(B))], exact
 
 
 def _maximal_cliques(adj):
@@ -174,12 +186,9 @@ class NTo1Profile:
 def n_to_1_profile(f: CoarseMap, r: float, R: float) -> NTo1Profile:
     """Worst case, over maximal r-bounded B in Y, of the R-components of f^{-1}(B)."""
     check_number(R, "R")
-    subsets, exact = maximal_r_bounded_sets(f.codomain, r)
+    blocks, exact = _fiber_blocks(f, r)
     worst_count, worst_diam, witness = 0, 0.0, None
-    for B in subsets:
-        pre = f.preimage(B)
-        if not pre:
-            continue
+    for B, pre in blocks:
         comps = r_components(Subset(f.domain, pre), R)
         count = len(comps)
         dmax = max(diameter(c) for c in comps)
@@ -280,9 +289,8 @@ class NTo1Control:
     the bound is attained, so consumers must treat it as closed).
     ``relaxed_at`` lists the scales where the value is only an upper bound on
     the least control: the R-component relaxation replaced the exact partition
-    search (a preimage above EXACT_PARTITION_CAP points), or closed balls
-    replaced the maximal r-bounded sets (a codomain above CLIQUE_ENUM_CAP
-    points).
+    search (a preimage above EXACT_PARTITION_CAP points), or a closed ball
+    above CLIQUE_ENUM_CAP points stood whole for its maximal r-bounded sets.
     """
 
     n: int
@@ -297,26 +305,19 @@ def n_to_1_control(f: CoarseMap, n: int, *, c_cap: Optional[float] = None) -> NT
         raise PreconditionError("n must be >= 1")
     if c_cap is not None:
         check_number(c_cap, "c_cap")
-    Y = f.codomain
-    scales = sorted({float(v) for v in Y.dmat.ravel()})
+    scales = sorted({float(v) for v in f.codomain.dmat.ravel()})
     bps = []
     relaxed = []
     prev = 0.0
     for r in scales:
-        subsets, exact = maximal_r_bounded_sets(Y, r)
+        blocks, exact = _fiber_blocks(f, r)
+        worst = 0.0
+        for _, pre in blocks:
+            val, val_exact = _partition_value(f.domain, pre, n)
+            exact = exact and val_exact
+            worst = max(worst, val)
         if not exact:
             relaxed.append(r)
-        worst = 0.0
-        for B in subsets:
-            pre = f.preimage(B)
-            if not pre:
-                continue
-            if len(pre) <= EXACT_PARTITION_CAP:
-                val, _ = min_max_diameter_partition(f.domain, pre, n)
-            else:
-                val = _component_relaxation(f.domain, pre, n)
-                relaxed.append(r)
-            worst = max(worst, val)
         if c_cap is not None and worst >= c_cap:
             raise Refusal(
                 f"no valid control below the cap {c_cap} at scale {r} (needs {worst})",
@@ -326,7 +327,16 @@ def n_to_1_control(f: CoarseMap, n: int, *, c_cap: Optional[float] = None) -> NT
         prev = max(prev, worst)
         bps.append((r, prev))
     step = StepFunction(tuple(bps), inclusive=True, flags={"strict_infimum": True})
-    return NTo1Control(n=n, step=step, relaxed_at=tuple(sorted(set(relaxed))))
+    return NTo1Control(n=n, step=step, relaxed_at=tuple(relaxed))
+
+
+def _partition_value(space: FiniteMetricSpace, pre: frozenset, n: int):
+    """(value, exact) of one fiber block: the least max diameter of a partition
+    of ``pre`` into <= n parts; above EXACT_PARTITION_CAP points the upper
+    bound of the component relaxation, whose <= n components are one."""
+    if len(pre) <= EXACT_PARTITION_CAP:
+        return min_max_diameter_partition(space, pre, n)[0], True
+    return _component_relaxation(space, pre, n), False
 
 
 def _component_relaxation(space: FiniteMetricSpace, members: frozenset, n: int) -> float:
@@ -346,41 +356,17 @@ def _component_relaxation(space: FiniteMetricSpace, members: frozenset, n: int) 
 def verify_n_to_1(f: CoarseMap, n: int, C, r: float):
     """Check that every maximal r-bounded B splits into <= n parts of diam <= C(r).
 
-    Exact for preimages up to EXACT_PARTITION_CAP points.  Above the cap the
-    C(r)-components (steps d <= C(r)) are checked instead, and the check never
-    accepts falsely: every part of diameter <= C(r) lies in one component, so
-    a rejection by component count is exact; a rejection by component width
-    is conservative, since a wide component might still split into narrow
-    parts.
-
-    A codomain above CLIQUE_ENUM_CAP points has its maximal r-bounded sets
-    enumerated inside each closed ball B(y, r) (every r-bounded set lies in
-    the ball around any of its points), not replaced by the balls, which may
-    be 2r wide.  A ball itself above the cap is replaced by its own balls:
-    conservative again, it may reject but never accepts falsely.  Returns
-    (ok, witness).
+    Each fiber block is judged by its partition value, an upper bound above
+    EXACT_PARTITION_CAP points, and a ball above CLIQUE_ENUM_CAP stands whole
+    for its sets: the check never accepts falsely, and above the caps it may
+    reject a valid control.  Returns (ok, witness), the witness (B, value).
     """
     cr = as_control(C)(check_number(r, "r"))
-    subsets, exact = maximal_r_bounded_sets(f.codomain, r)
-    if not exact:
-        subsets = dict.fromkeys(
-            B for ball in subsets for B in maximal_r_bounded_sets(f.codomain, r, within=ball)[0]
-        )
-    for B in subsets:
-        pre = f.preimage(B)
-        if not pre:
-            continue
-        if len(pre) <= EXACT_PARTITION_CAP:
-            val, _ = min_max_diameter_partition(f.domain, pre, n)
-            if val > cr:
-                return False, (B, val)
-        else:
-            comps = r_components(Subset(f.domain, pre), cr)
-            if len(comps) > n:
-                return False, (B, len(comps))
-            width = max(diameter(c) for c in comps)
-            if width > cr:
-                return False, (B, width)
+    blocks, _ = _fiber_blocks(f, r)
+    for B, pre in blocks:
+        val, _ = _partition_value(f.domain, pre, n)
+        if val > cr:
+            return False, (B, val)
     return True, None
 
 

@@ -6,8 +6,8 @@ Strictness conventions used across the whole library (fixed globally):
 * ``R``-disjoint means cross distance ``>= R``;
 * ``components(space, members, R, strict=False)`` gives chain components with
   steps ``d <= R``; ``r_components`` wraps it.  Used for fiber pieces
-  (``n_to_1_profile``, ``verify_n_to_1``, the component relaxation of
-  ``n_to_1_control``), ``factorize`` classes, ``apc_pullback`` and
+  (``n_to_1_profile``, the component relaxation of ``n_to_1_control`` and
+  ``verify_n_to_1``), ``factorize`` classes, ``apc_pullback`` and
   ``tree_pullback`` pieces;
 * ``components(..., strict=True)`` uses steps ``d < R``: the coarsest split of
   a set into an ``R``-disjoint family.  Used for ``apc_witness`` families and
@@ -237,17 +237,24 @@ def build_space(descriptor: dict) -> FiniteMetricSpace:
         from scipy.sparse.csgraph import shortest_path
 
         edges = descriptor["edges"]
+        ends = [v for i, j, _ in edges for v in (i, j)]
         labels = descriptor.get("labels")
         if labels is None:
-            nv = 1 + max(max(i, j) for i, j, _ in edges) if edges else 1
-            labels = list(range(nv))
+            labels = list(range(1 + max([0, *filter(is_int, ends)])))
         nv = len(labels)
         if not nv:
             raise InputError("a graph must have at least one vertex")
-        rows, cols, data = [], [], []
+        bad = [v for v in ends if not (is_int(v) and 0 <= v < nv)]
+        if bad:
+            raise InputError(f"edge endpoints {bad} are not vertices of the graph")
+        lightest = {}  # unordered pair -> least weight: csr_matrix would sum repeats
         for i, j, w in edges:
             if check_number(w, "edge weight", finite=True) <= 0:
                 raise InputError(f"edge ({i},{j}) has non-positive weight {w}")
+            pair = (min(i, j), max(i, j))
+            lightest[pair] = min(w, lightest.get(pair, w))
+        rows, cols, data = [], [], []
+        for (i, j), w in lightest.items():
             rows += [i, j]
             cols += [j, i]
             data += [w, w]

@@ -10,7 +10,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coarse_maps import CoarseMap, control_upper, graph_coloring, maximal_r_bounded_sets
+from .coarse_maps import (
+    CoarseMap,
+    _fiber_blocks,
+    control_upper,
+    graph_coloring,
+    maximal_r_bounded_sets,
+)
 from .covers import FamilyOfSets, is_r_disjoint, mesh, split_on_carrier
 from .errors import CertificateError, InputError, PreconditionError, check_number
 from .metric_core import (
@@ -400,14 +406,14 @@ def map_msp_check(
         check_number(v, name)
     if R < 0 or S < 0 or K < 0 or not 0 < c < 1:
         raise InputError("need R, S, K >= 0 and 0 < c < 1")
+    if isinstance(A, Subset) and A.space is not f.codomain:
+        raise InputError("A must be a subset of the codomain")
     members = _check_points(f.codomain, A.members if isinstance(A, Subset) else frozenset(A), "A")
-    blocks, exact_blocks = maximal_r_bounded_sets(f.codomain, K, within=members)
+    blocks, exact_blocks = _fiber_blocks(f, K, within=members)
     worst = None
     details = []
-    for blk in blocks:
-        pre = sorted(f.preimage(blk))
-        if not pre:
-            continue
+    for blk, pre in blocks:
+        pre = sorted(pre)
         if len(pre) <= EXACT_GAME_CAP and exact_blocks:
             value, n_sets = _game_value(f.domain, pre, R, S)
             details.append(

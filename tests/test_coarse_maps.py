@@ -174,12 +174,40 @@ class TestNTo1Control:
         ok, wit = verify_n_to_1(f, 1, LinearControl(0.5), 1.0)
         assert not ok and wit == (frozenset({0, 1}), 1.0)
 
-    def test_ball_fallback_scales_are_flagged(self):
-        # 70 codomain points: balls stand in for the maximal r-bounded sets, so
-        # C(1) = 2 from the balls is only an upper bound on the least control 1
+    def test_above_clique_cap_exact_while_balls_fit(self):
+        # 70 codomain points: the maximal 1-bounded sets are enumerated inside
+        # the 3-point balls, so C(1) = 1 is exact (the balls once gave 2)
         ctl = n_to_1_control(identity_map(path_space(70)), 1)
-        assert ctl.step(1.0) == 2.0
-        assert 1.0 in ctl.relaxed_at
+        assert ctl.step(1.0) == 1.0
+        assert 1.0 not in ctl.relaxed_at
+        # from r = 16 on, the 17-point preimages exceed the exact partition cap
+        assert ctl.relaxed_at == tuple(float(r) for r in range(16, 70))
+
+    def test_ball_fallback_scales_are_flagged(self):
+        # from r = 32 on the middle balls of path_space(70) hold 65 points and
+        # stand whole for their sets; the 10-point domain keeps every preimage
+        # under the exact partition cap, so only those scales are flagged
+        f = CoarseMap(path_space(10), path_space(70), tuple(7 * x for x in range(10)))
+        assert maximal_r_bounded_sets(f.codomain, 31.0)[1]
+        assert not maximal_r_bounded_sets(f.codomain, 32.0)[1]
+        ctl = n_to_1_control(f, 1)
+        assert ctl.relaxed_at == tuple(float(r) for r in range(32, 70))
+
+    def test_verify_accepts_by_relaxation_above_partition_cap(self):
+        # 18 preimage points: the 1-components {0..16}, {18.5} are an explicit
+        # 2-part partition of width 16; the C(1)-component test once rejected
+        # it by the width 18.5 of the one 16-component
+        sp = build_space({"kind": "cloud", "coords": [[i] for i in range(17)] + [[18.5]],
+                          "norm": "l1"})
+        assert verify_n_to_1(constant_map(sp), 2, LinearControl(16.0), 1.0) == (True, None)
+        assert verify_n_to_1(constant_map(sp), 2, LinearControl(15.0), 1.0) == (
+            False, (frozenset({0}), 16.0))
+
+    def test_profile_above_clique_cap_is_exact(self):
+        # the 1-bounded sets of path_space(70) are its edges, not its 3-point balls
+        prof = n_to_1_profile(identity_map(path_space(70)), 1.0, 0.5)
+        assert (prof.max_components, prof.exact) == (2, True)
+        assert prof.witness == frozenset({0, 1})
 
 
 class TestPushforwardCover:

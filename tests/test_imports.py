@@ -5,9 +5,10 @@ point-set bitmasks are built and walked only in ``metric_core``, report values
 are encoded only in ``serialization``, the distance
 to a complement is read from the distance table only in
 ``metric_core._dist_outside``, a family is restricted to its carrier and
-disjointified only in ``covers.split_on_carrier``, no square block of the
-distance table is read with ``np.ix_(idx, idx)`` (``metric_core._block`` is
-the one square gather), numbers are checked for NaN,
+disjointified only in ``covers.split_on_carrier``, the preimages of the
+maximal r-bounded sets are taken only in ``coarse_maps._fiber_blocks``, no
+square block of the distance table is read with ``np.ix_(idx, idx)``
+(``metric_core._block`` is the one square gather), numbers are checked for NaN,
 finiteness and type only in ``errors`` (``check_number``, ``is_int``), and
 importing the CLI loads neither networkx nor scipy.
 
@@ -183,23 +184,34 @@ def test_complement_distance_only_in_metric_core():
         f"read complement distances through metric_core._dist_outside; found {found}")
 
 
-def _carrier_splits(tree):
-    """Functions that call both ``on_carrier`` and ``make_disjoint``."""
+def _functions_calling(tree, names):
+    """Functions that call every one of ``names``, by bare name or attribute."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             called = {getattr(c.func, "id", getattr(c.func, "attr", None))
                       for c in ast.walk(node) if isinstance(c, ast.Call)}
-            if {"on_carrier", "make_disjoint"} <= called:
+            if set(names) <= called:
                 yield f"{node.name} (line {node.lineno})"
 
 
 def test_carrier_split_only_in_covers():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
     home = trees.pop("covers.py")
-    found = [f"{name}:{fn}" for name, tree in trees.items() for fn in _carrier_splits(tree)]
+    pair = ("on_carrier", "make_disjoint")
+    found = [f"{name}:{fn}" for name, tree in trees.items()
+             for fn in _functions_calling(tree, pair)]
     assert not found, f"use covers.split_on_carrier instead: {', '.join(found)}"
-    assert [fn.split()[0] for fn in _carrier_splits(home)] == ["split_on_carrier"], (
+    assert [fn.split()[0] for fn in _functions_calling(home, pair)] == ["split_on_carrier"], (
         "the scan no longer sees the pair in covers.split_on_carrier")
+
+
+def test_fiber_walk_only_in_coarse_maps():
+    pair = ("maximal_r_bounded_sets", "preimage")
+    found = [f"{p.name}:{fn}" for p in MODULES
+             for fn in _functions_calling(ast.parse(p.read_text(encoding="utf-8")), pair)]
+    # exactly one: no other function walks the fiber blocks, and the scan still sees the walk
+    assert [fn.split()[0] for fn in found] == ["coarse_maps.py:_fiber_blocks"], (
+        f"walk the fiber blocks through coarse_maps._fiber_blocks; found {found}")
 
 
 def _square_ix_reads(tree):

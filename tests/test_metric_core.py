@@ -138,6 +138,28 @@ class TestBuildSpace:
         sp = build_space({"kind": "graph", "edges": edges})
         assert np.array_equal(sp.dmat, sp.dmat.T)
 
+    @pytest.mark.parametrize("edges, d01", [
+        ([[0, 1, 1], [0, 1, 1]], 1.0),
+        ([[0, 1, 1], [1, 0, 5], [1, 2, 1]], 1.0),
+        ([[1, 0, 5], [0, 1, 2], [1, 2, 1]], 2.0),
+    ], ids=["repeated", "reversed-heavier", "reversed-lighter"])
+    def test_graph_parallel_edges_keep_the_lightest(self, edges, d01):
+        # the sparse matrix once summed parallel edges: 2.0, 6.0 and 7.0
+        assert build_space({"kind": "graph", "edges": edges}).dmat[0, 1] == d01
+
+    @pytest.mark.parametrize("edges, labels", [
+        ([[0, 1.5, 1]], [0, 1]),
+        ([[0, -1, 1], [0, 1, 1]], None),
+        ([[0, True, 1]], [0, 1]),
+        ([[0, "a", 1]], None),
+        ([[0, 2, 1]], [0, 1]),
+    ], ids=["fractional", "negative", "bool", "text", "too-large"])
+    def test_graph_endpoints_must_be_vertex_indices(self, edges, labels):
+        # 1.5 was once read as vertex 1, and -1 failed inside numpy
+        desc = {"kind": "graph", "edges": edges, **({"labels": labels} if labels else {})}
+        with pytest.raises(InputError, match=r"^edge endpoints \[.*\] are not vertices"):
+            build_space(desc)
+
     def test_integer_weight_graph_keeps_its_path_sums(self):
         sp = build_space({"kind": "graph", "edges": [[0, 1, 2], [1, 2, 3], [2, 3, 1], [3, 0, 7]]})
         assert sp.dmat.tolist() == [[0, 2, 5, 6], [2, 0, 3, 4], [5, 3, 0, 1], [6, 4, 1, 0]]

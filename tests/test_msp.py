@@ -385,6 +385,12 @@ class TestMapMspCheck:
         with pytest.raises(InputError, match=r"^A \[.*\] are not points of the owning space$"):
             map_msp_check(f, A, 10.0, 0.0, 0.25, 0.0)
 
+    def test_subset_of_another_space_rejected(self):
+        # domain points 0 and 1 (-3 and -2) were once read as codomain points
+        f = fold_map(3)
+        with pytest.raises(InputError, match="subset of the codomain"):
+            map_msp_check(f, Subset(f.domain, frozenset({0, 1})), 10.0, 0.0, 0.25, 0.0)
+
 
 def _whole(sp):
     return fam(sp, range(sp.n))

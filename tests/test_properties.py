@@ -46,6 +46,7 @@ from coarsekit.coarse_maps import (
     CLIQUE_ENUM_CAP,
     _component_relaxation,
     _hausdorff_quotient,
+    _maximal_cliques,
     graph_coloring,
     min_max_diameter_partition,
 )
@@ -610,6 +611,26 @@ def test_maximal_r_bounded_sets_match_brute_force_cliques(data):
     sets, exact = maximal_r_bounded_sets(sp, 1.0, within=within)
     assert exact
     assert sets == sorted(reference, key=sorted)
+
+
+@st.composite
+def sparse_graphs_above_the_clique_cap(draw):
+    n = draw(st.integers(CLIQUE_ENUM_CAP + 1, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([0.02, 0.05, 0.1]))
+    return n, [(a, b) for a, b in itertools.combinations(range(n), 2) if rng.random() < p]
+
+
+@settings(max_examples=25, deadline=None)
+@given(sparse_graphs_above_the_clique_cap())
+def test_maximal_r_bounded_sets_above_the_clique_cap_enumerate_inside_balls(data):
+    # every 1-ball is a closed neighbourhood, far below the cap, so the union
+    # of the cliques ball by ball is the exact answer on the whole graph
+    n, edges = data
+    sp = _graph_space(n, edges)
+    sets, exact = maximal_r_bounded_sets(sp, 1.0)
+    assert exact
+    assert sets == sorted((frozenset(c) for c in _maximal_cliques(sp.dmat <= 1.0)), key=sorted)
 
 
 def test_maximal_r_bounded_sets_at_the_clique_cap():
