@@ -15,16 +15,6 @@ import sys
 import time
 
 from .controls import as_control
-from .covers import dim_at_scale, lebesgue_number, make_disjoint, mesh
-from .coarse_maps import (
-    control_upper,
-    factorize,
-    group_quotient,
-    n_to_1_control,
-    n_to_1_profile,
-    pushforward_cover,
-)
-from .dimension import apc_normalize, apc_pullback, apc_pushforward, apc_witness
 from .errors import (
     CertificateError,
     InputError,
@@ -33,15 +23,8 @@ from .errors import (
     Refusal,
     check_number,
 )
-from .msp import (
-    best_mass_family,
-    half_mass_witness,
-    map_msp_check,
-    msp_pullback,
-    msp_pushforward,
-    transfer_measure_selection,
-)
 from .serialization import (
+    action_from_json,
     digest,
     dim_sequence_from_json,
     dumps_report,
@@ -56,16 +39,6 @@ from .serialization import (
     tree_to_json,
     witness_from_json,
     witness_to_json,
-    action_from_json,
-)
-from .suites import run_suite
-from .trees import (
-    casdim_to_sfdc,
-    partition_refine,
-    tree_pullback,
-    tree_pushforward,
-    tree_to_cover,
-    verify_tree,
 )
 
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
@@ -158,6 +131,9 @@ class _Inputs:
 
 
 # ---------------------------------------------------------------- handlers
+# Each handler imports the library functions it calls, so a command loads
+# only the modules it runs: ``coarse-kit space`` never loads covers, maps,
+# trees, measures or the suites.
 
 
 def _cmd_space(inp, args):
@@ -166,6 +142,8 @@ def _cmd_space(inp, args):
 
 
 def _cmd_cover_dim(inp, args):
+    from .covers import dim_at_scale, mesh
+
     sp = inp.load("space", space_from_json)
     cov = inp.load("cover", family_from_json, sp)
     return {
@@ -176,6 +154,8 @@ def _cmd_cover_dim(inp, args):
 
 
 def _cmd_cover_disjointify(inp, args):
+    from .covers import dim_at_scale, make_disjoint, mesh
+
     sp = inp.load("space", space_from_json)
     cov = inp.load("cover", family_from_json, sp)
     n = args.n if args.n is not None else dim_at_scale(cov, args.scale)
@@ -190,12 +170,16 @@ def _cmd_cover_disjointify(inp, args):
 
 
 def _cmd_cover_lebesgue(inp, args):
+    from .covers import lebesgue_number, mesh
+
     sp = inp.load("space", space_from_json)
     cov = inp.load("cover", family_from_json, sp)
     return {"lebesgue_number": lebesgue_number(cov), "mesh": mesh(cov)}
 
 
 def _cmd_map_control(inp, args):
+    from .coarse_maps import control_upper, n_to_1_control
+
     f = inp.load_map()
     ctl = n_to_1_control(f, args.n, c_cap=args.c_cap)
     return {
@@ -207,6 +191,8 @@ def _cmd_map_control(inp, args):
 
 
 def _cmd_map_profile(inp, args):
+    from .coarse_maps import n_to_1_profile
+
     f = inp.load_map()
     prof = n_to_1_profile(f, args.r, args.big_r)
     return {
@@ -218,6 +204,9 @@ def _cmd_map_profile(inp, args):
 
 
 def _cmd_map_push(inp, args):
+    from .coarse_maps import pushforward_cover
+    from .covers import dim_at_scale
+
     f = inp.load_map()
     cov = inp.load("cover", family_from_json, f.domain)
     pushed = pushforward_cover(f, cov, args.r, args.n, args.control)
@@ -231,6 +220,8 @@ def _cmd_map_push(inp, args):
 
 
 def _cmd_map_factor(inp, args):
+    from .coarse_maps import factorize
+
     f = inp.load_map()
     fac = factorize(f, args.big_r, args.n)
     return {
@@ -244,6 +235,8 @@ def _cmd_map_factor(inp, args):
 
 
 def _cmd_quotient(inp, args):
+    from .coarse_maps import group_quotient
+
     sp = inp.load("space", space_from_json)
     act = inp.load("action", action_from_json, sp)
     gq = group_quotient(act)
@@ -258,12 +251,16 @@ def _cmd_quotient(inp, args):
 
 
 def _cmd_apc_witness(inp, args):
+    from .dimension import apc_witness
+
     sp = inp.load("space", space_from_json)
     w = apc_witness(sp, args.scales, args.mesh_cap, budget=args.budget)
     return {"witness": witness_to_json(w)}
 
 
 def _cmd_apc_normalize(inp, args):
+    from .dimension import apc_normalize
+
     sp = inp.load("space", space_from_json)
     dsw = inp.load("witness", dim_sequence_from_json, sp)
     out = apc_normalize(dsw, args.gaps)
@@ -271,6 +268,8 @@ def _cmd_apc_normalize(inp, args):
 
 
 def _cmd_apc_push(inp, args):
+    from .dimension import apc_pushforward
+
     f = inp.load_map()
     w = inp.load("witness", witness_from_json, f.domain)
     out = apc_pushforward(f, args.n, args.control, w, args.target_scales)
@@ -278,6 +277,8 @@ def _cmd_apc_push(inp, args):
 
 
 def _cmd_apc_pull(inp, args):
+    from .dimension import apc_pullback
+
     f = inp.load_map()
     w = inp.load("witness", witness_from_json, f.codomain)
     out = apc_pullback(f, w, args.target_scales, args.bound)
@@ -285,6 +286,8 @@ def _cmd_apc_pull(inp, args):
 
 
 def _cmd_tree_verify(inp, args):
+    from .trees import verify_tree
+
     sp = inp.load("space", space_from_json)
     t = inp.load("tree", tree_from_json, sp)
     rep = verify_tree(t, args.mode)
@@ -299,18 +302,25 @@ def _cmd_tree_verify(inp, args):
 
 
 def _cmd_tree_refine(inp, args):
+    from .trees import partition_refine
+
     sp = inp.load("space", space_from_json)
     t = inp.load("tree", tree_from_json, sp)
     return {"tree": tree_to_json(partition_refine(t))}
 
 
 def _cmd_tree_convert(inp, args):
+    from .trees import casdim_to_sfdc
+
     sp = inp.load("space", space_from_json)
     t = inp.load("tree", tree_from_json, sp)
     return {"tree": tree_to_json(casdim_to_sfdc(t))}
 
 
 def _cmd_tree_cover(inp, args):
+    from .covers import dim_at_scale
+    from .trees import tree_to_cover
+
     sp = inp.load("space", space_from_json)
     t = inp.load("tree", tree_from_json, sp)
     fam = tree_to_cover(t, args.scale)
@@ -318,6 +328,8 @@ def _cmd_tree_cover(inp, args):
 
 
 def _cmd_tree_push(inp, args):
+    from .trees import tree_pushforward
+
     f = inp.load_map()
     t = inp.load("tree", tree_from_json, f.domain)
     out, audit = tree_pushforward(f, t, args.n, args.control, args.target_scales)
@@ -332,6 +344,8 @@ def _cmd_tree_push(inp, args):
 
 
 def _cmd_tree_pull(inp, args):
+    from .trees import tree_pullback
+
     f = inp.load_map()
     t = inp.load("tree", tree_from_json, f.codomain)
     out = tree_pullback(
@@ -342,6 +356,8 @@ def _cmd_tree_pull(inp, args):
 
 
 def _cmd_msp_family(inp, args):
+    from .msp import best_mass_family
+
     sp = inp.load("space", space_from_json)
     mu = inp.load("measure", measure_from_json, sp)
     out = best_mass_family(sp, mu, args.big_r, args.big_s)
@@ -349,6 +365,8 @@ def _cmd_msp_family(inp, args):
 
 
 def _cmd_msp_push(inp, args):
+    from .msp import half_mass_witness, msp_pushforward, transfer_measure_selection
+
     f = inp.load_map()
     mu = inp.load("measure", measure_from_json, f.codomain)
     D = args.control
@@ -365,6 +383,8 @@ def _cmd_msp_push(inp, args):
 
 
 def _cmd_msp_pull(inp, args):
+    from .msp import msp_pullback
+
     f = inp.load_map()
     mu = inp.load("measure", measure_from_json, f.domain)
     out = msp_pullback(
@@ -374,6 +394,8 @@ def _cmd_msp_pull(inp, args):
 
 
 def _cmd_msp_check(inp, args):
+    from .msp import map_msp_check
+
     f = inp.load_map()
     members = args.set if args.set is not None else frozenset(range(f.codomain.n))
     rep = map_msp_check(f, members, args.big_r, args.big_s, args.c, args.big_k)
@@ -383,6 +405,8 @@ def _cmd_msp_check(inp, args):
 
 
 def _cmd_suite(inp, args):
+    from .suites import run_suite
+
     try:
         rep = run_suite(args.name, args.seed, args.count, max_points=args.max_points)
     except KeyError as e:

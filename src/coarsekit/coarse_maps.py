@@ -5,6 +5,7 @@ cover transfer, factorization, and finite-group quotients under the Hausdorff me
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -78,22 +79,29 @@ class CoarseMap:
         members = A.members if isinstance(A, Subset) else A
         return frozenset(self.assign[x] for x in members)
 
+    @cached_property
+    def upper_control(self) -> StepFunction:
+        """``control_upper(self)``, computed once per map: the map is frozen
+        and both distance tables are read-only."""
+        idx = list(self.assign)
+        dx = self.domain.dmat.ravel()
+        dy = _block(self.codomain.dmat, idx).ravel()
+        order = np.lexsort((dy, dx))
+        dx = dx[order]
+        running = np.maximum.accumulate(np.maximum(dy[order], 0.0))
+        # one breakpoint per realized distance: the r of its first pair (0.0
+        # and -0.0 tie) and the running max at its last pair
+        new_r = dx[1:] != dx[:-1]
+        first = np.r_[True, new_r][: dx.size]
+        last = np.r_[new_r, True][: dx.size]
+        out = zip(dx[first].tolist(), running[last].tolist())
+        return StepFunction(tuple(out), inclusive=True)
+
 
 def control_upper(f: CoarseMap) -> StepFunction:
-    """Minimal nondecreasing E with d_Y(f(x), f(y)) <= E(d_X(x, y)); attained values."""
-    idx = list(f.assign)
-    dx = f.domain.dmat.ravel()
-    dy = _block(f.codomain.dmat, idx).ravel()
-    order = np.lexsort((dy, dx))
-    dx = dx[order]
-    running = np.maximum.accumulate(np.maximum(dy[order], 0.0))
-    # one breakpoint per realized distance: the r of its first pair (0.0 and
-    # -0.0 tie) and the running max at its last pair
-    new_r = dx[1:] != dx[:-1]
-    first = np.r_[True, new_r][: dx.size]
-    last = np.r_[new_r, True][: dx.size]
-    out = zip(dx[first].tolist(), running[last].tolist())
-    return StepFunction(tuple(out), inclusive=True)
+    """Minimal nondecreasing E with d_Y(f(x), f(y)) <= E(d_X(x, y)); attained
+    values.  Cached on the map (``CoarseMap.upper_control``)."""
+    return f.upper_control
 
 
 def pullback_family(f: CoarseMap, V: FamilyOfSets, d: float) -> FamilyOfSets:

@@ -3,7 +3,9 @@ and decomposition trees for the property suites.
 
 Everything is driven by ``random.Random(seed)`` so that a fixed seed yields an
 identical fixture stream.  Coordinates and weights are kept rational-valued
-(integers or small fractions) so comparisons stay exact.
+(integers or small fractions) so comparisons stay exact.  Paths and grids are
+point clouds; cycles are written down in closed form (the hop distance), not
+routed through a graph descriptor, so no fixture loads scipy.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .covers import FamilyOfSets, dim_at_scale
 from .coarse_maps import CoarseMap, GroupAction, group_quotient
+from .errors import InputError
 from .metric_core import FiniteMetricSpace, build_space
 from .msp import ProbMeasure
 from .trees import DecompositionTree, grow_level
@@ -42,8 +45,13 @@ def path_space(n: int) -> FiniteMetricSpace:
 
 
 def cycle_space(n: int) -> FiniteMetricSpace:
-    edges = [[i, (i + 1) % n, 1] for i in range(n)]
-    return build_space({"kind": "graph", "edges": edges, "labels": list(range(n))})
+    """The n-cycle with unit edges: d(i, j) = min(|i - j|, n - |i - j|), the
+    hop distance, built in closed form (no shortest-path search, no scipy)."""
+    labels = list(range(n))
+    if not labels:
+        raise InputError("a graph must have at least one vertex")
+    gap = np.abs(np.subtract.outer(labels, labels))
+    return FiniteMetricSpace(labels, np.minimum(gap, len(labels) - gap), validate=False)
 
 
 def grid_space(p: int, q: int) -> FiniteMetricSpace:

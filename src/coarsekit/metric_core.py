@@ -30,6 +30,10 @@ two directions' sums is stored on both sides, so the table is symmetric), so
 comparisons at equality follow the rounding.  Clouds and graphs are metrics
 by construction and are not re-checked for the triangle inequality (rounding
 can break it), only for finite distances, and clouds for distinct points.
+
+scipy is imported only inside the graph branch of ``build_space`` (Dijkstra
+over a sparse adjacency), so only user ``graph`` descriptors load it; the
+fixture cycles of ``generators.cycle_space`` are built in closed form.
 """
 
 from __future__ import annotations

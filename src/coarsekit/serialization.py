@@ -6,6 +6,10 @@ pass writes sets as sorted lists, tuples as lists, infinities as "inf" and
 "-inf", keys as strings and controls through their ``to_json``.  All
 encoders emit plain dicts with sorted, stable content so that serialized
 reports are byte-identical across reruns.  Schema version 1.
+
+Only ``controls`` and ``metric_core`` load with this module: each decoder
+imports the type it builds when it is called, so reading a space never
+loads the covers, maps, trees or measures.
 """
 
 from __future__ import annotations
@@ -13,14 +17,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from typing import TYPE_CHECKING
 
 from .controls import LinearControl, StepFunction
-from .coarse_maps import CoarseMap, GroupAction
-from .covers import FamilyOfSets
-from .dimension import ApcWitness, DimSequenceWitness
 from .metric_core import FiniteMetricSpace, build_space
-from .msp import MassFamily, ProbMeasure
-from .trees import DecompositionTree
+
+if TYPE_CHECKING:
+    from .coarse_maps import CoarseMap, GroupAction
+    from .covers import FamilyOfSets
+    from .dimension import ApcWitness, DimSequenceWitness
+    from .msp import MassFamily, ProbMeasure
+    from .trees import DecompositionTree
 
 SCHEMA_VERSION = 1
 
@@ -69,6 +76,8 @@ def family_to_json(F: FamilyOfSets) -> dict:
 
 
 def family_from_json(obj: dict, space: FiniteMetricSpace) -> FamilyOfSets:
+    from .covers import FamilyOfSets
+
     return FamilyOfSets(
         space,
         tuple(frozenset(s) for s in obj["sets"]),
@@ -78,15 +87,21 @@ def family_from_json(obj: dict, space: FiniteMetricSpace) -> FamilyOfSets:
 
 
 def map_from_json(obj: dict, domain: FiniteMetricSpace, codomain: FiniteMetricSpace) -> CoarseMap:
+    from .coarse_maps import CoarseMap
+
     return CoarseMap(domain, codomain, tuple(obj["assign"]))
 
 
 def action_from_json(obj: dict, space: FiniteMetricSpace) -> GroupAction:
+    from .coarse_maps import GroupAction
+
     return GroupAction(space, tuple(tuple(r) for r in obj["table"]),
                        tuple(tuple(p) for p in obj["perms"]))
 
 
 def measure_from_json(obj: dict, space: FiniteMetricSpace) -> ProbMeasure:
+    from .msp import ProbMeasure
+
     return ProbMeasure(space, tuple(obj["weights"]))
 
 
@@ -104,6 +119,8 @@ def tree_to_json(t: DecompositionTree) -> dict:
 
 
 def tree_from_json(obj: dict, space: FiniteMetricSpace) -> DecompositionTree:
+    from .trees import DecompositionTree
+
     return DecompositionTree(
         space,
         tuple(family_from_json(l, space) for l in obj["levels"]),
@@ -127,6 +144,8 @@ def witness_to_json(w: ApcWitness) -> dict:
 
 
 def witness_from_json(obj: dict, space: FiniteMetricSpace) -> ApcWitness:
+    from .dimension import ApcWitness
+
     return ApcWitness(
         space,
         tuple(obj["scales"]),
@@ -135,6 +154,8 @@ def witness_from_json(obj: dict, space: FiniteMetricSpace) -> ApcWitness:
 
 
 def dim_sequence_from_json(obj: dict, space: FiniteMetricSpace) -> DimSequenceWitness:
+    from .dimension import DimSequenceWitness
+
     return DimSequenceWitness(
         space,
         tuple(float(v) for v in obj["scales"]),

@@ -1,9 +1,12 @@
 import math
+from functools import cached_property
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from coarsekit import (
+    ApcWitness,
     CertificateError,
     CoarseMap,
     FamilyOfSets,
@@ -12,6 +15,7 @@ from coarsekit import (
     PreconditionError,
     Refusal,
     Subset,
+    apc_pullback,
     asdim_zero_witness,
     build_space,
     control_upper,
@@ -74,6 +78,35 @@ class TestControlUpper:
         sp = integers(0, 7)
         E = control_upper(constant_map(sp))
         assert E(sp.diam()) == 0.0
+
+    def test_computed_once_across_a_four_family_pullback(self):
+        f = fold_map(39)  # codomain 0..39
+        Y = f.codomain
+        # blocks {2b, 2b+1} dealt round-robin: same-family blocks are 7 apart
+        families = tuple(
+            fam(Y, *({2 * b, 2 * b + 1} for b in range(k, 20, 4))) for k in range(4)
+        )
+        w = ApcWitness(Y, (1.0, 2.0, 3.0, 4.0), families)
+        computed = []
+        uncached = CoarseMap.upper_control.func
+
+        def counted(g):
+            computed.append(g)
+            return uncached(g)
+
+        prop = cached_property(counted)
+        prop.__set_name__(CoarseMap, "upper_control")
+        with mock.patch.object(CoarseMap, "upper_control", prop):
+            out = apc_pullback(f, w, w.scales, 6.0)
+            assert control_upper(f) is control_upper(f)
+        assert computed == [f]
+        assert all(len(g) for g in out.families)
+        # the cached control is the least one: E(r) is the largest codomain
+        # distance over domain pairs at distance <= r
+        dy = f.codomain.dmat[np.ix_(f.assign, f.assign)]
+        E = control_upper(f)
+        for r in f.domain.realized_distances():
+            assert E(r) == dy[f.domain.dmat <= r].max()
 
 
 class TestPullbackFamily:

@@ -10,7 +10,10 @@ maximal r-bounded sets are taken only in ``coarse_maps._fiber_blocks``, no
 square block of the distance table is read with ``np.ix_(idx, idx)``
 (``metric_core._block`` is the one square gather), numbers are checked for NaN,
 finiteness and type only in ``errors`` (``check_number``, ``is_int``), and
-importing the CLI loads neither networkx nor scipy.
+each process loads only what it runs: ``import coarsekit`` no submodule, the
+CLI neither networkx nor scipy nor the modules no command shares, a suite
+and the fixture spaces no scipy, and the lazy re-exports are the modules'
+own objects under the names the eager package exported.
 
 For imports, ``__init__.py`` is skipped: its imports are the package's
 re-exports.  A name counts as used when it is read anywhere in the module,
@@ -20,10 +23,12 @@ any module of the package, reads it.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -277,10 +282,91 @@ def test_number_policy_only_in_errors():
         "the scan no longer sees the checks in errors.check_number")
 
 
-def test_cli_import_loads_neither_networkx_nor_scipy():
-    # a fresh interpreter: this process may already hold scipy
-    probe = ("import coarsekit.cli, sys; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('networkx', 'scipy')))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+def _fresh(code):
+    """stdout of ``code`` run in a fresh interpreter: this process may already
+    hold scipy and every coarsekit module."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True, timeout=60)
-    assert out.stdout.strip() == "[]", f"import coarsekit.cli loaded {out.stdout.strip()}"
+    return out.stdout.strip()
+
+
+# the coarsekit modules and the scipy/networkx modules a fresh process holds
+LOADED = ("import sys; print(sorted(m for m in sys.modules if m.split('.')[0] in "
+          "('coarsekit', 'networkx', 'scipy')))")
+# what every command needs: no scipy, no networkx, no module of a single command
+CLI_MODULES = {"coarsekit", "coarsekit.cli", "coarsekit.controls", "coarsekit.errors",
+               "coarsekit.metric_core", "coarsekit.serialization"}
+
+
+def test_cli_import_loads_neither_networkx_nor_scipy():
+    loaded = set(ast.literal_eval(_fresh("import coarsekit.cli; " + LOADED)))
+    assert loaded == CLI_MODULES, f"import coarsekit.cli loaded {sorted(loaded)}"
+
+
+def test_package_import_loads_no_submodule():
+    assert _fresh("import coarsekit; " + LOADED) == "['coarsekit']"
+
+
+def test_space_command_loads_metric_core_only(tmp_path):
+    space = tmp_path / "sp.json"
+    space.write_text('{"kind": "cloud", "coords": [[0], [1], [3]]}')
+    code = ("import contextlib, io, coarsekit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert coarsekit.cli.main(['space', '--space', {str(space)!r}]) == 0\n"
+            + LOADED)
+    assert set(ast.literal_eval(_fresh(code))) == CLI_MODULES
+
+
+def test_suites_and_fixture_spaces_load_no_scipy():
+    code = ("import contextlib, io, random, coarsekit.cli\n"
+            "from coarsekit.generators import random_space\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert coarsekit.cli.main(['suite', '--name', 'disjointify', '--seed', '7',\n"
+            "                               '--count', '10']) == 0\n"
+            "for seed in range(32):\n"
+            "    random_space(random.Random(seed))\n"
+            "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh(code) == "[]"
+
+
+# ``from coarsekit import *`` before the re-exports loaded lazily: the
+# re-exported names and the submodules the eager imports had bound
+STAR = {
+    "ApcWitness", "AsdimResult", "CertificateError", "CoarseKitError", "CoarseMap",
+    "DecompositionTree", "DimSequenceWitness", "DisjointificationTrace", "Factorization",
+    "FamilyOfSets", "FiniteMetricSpace", "GroupAction", "GroupQuotient", "InputError",
+    "LinearControl", "MassFamily", "MetricError", "NTo1Control", "NTo1Profile",
+    "PreconditionError", "ProbMeasure", "PushforwardAudit", "Refusal", "SUITES",
+    "StepFunction", "Subset", "TreeReport", "apc_normalize", "apc_pullback", "apc_pushforward",
+    "apc_witness", "as_control", "asdim_at_scale", "asdim_to_msp", "asdim_zero_witness",
+    "best_mass_family", "build_space", "casdim_to_sfdc", "components", "control_upper",
+    "diameter", "dim_at_scale", "factorize", "group_quotient", "grow_level",
+    "half_mass_witness", "hausdorff_distance", "is_partition_tree", "is_r_disjoint",
+    "lebesgue_number", "make_disjoint", "map_msp_check", "maximal_r_bounded_sets", "mesh",
+    "min_max_diameter_partition", "msp_pullback", "msp_pushforward", "n_to_1_control",
+    "n_to_1_profile", "neighborhood", "partition_refine", "pullback_family",
+    "pushforward_cover", "pushforward_measure", "r_components", "run_suite",
+    "symmetrize_metric", "transfer_measure_selection", "tree_pullback", "tree_pushforward",
+    "tree_to_cover", "verify_apc_witness", "verify_n_to_1", "verify_tree",
+    "coarse_maps", "controls", "covers", "dimension", "errors", "generators", "metric_core",
+    "msp", "suites", "trees",
+}
+
+
+def test_lazy_exports_are_the_modules_objects():
+    assert set(coarsekit.__all__) == STAR and len(coarsekit.__all__) == len(STAR) == 84
+    for name in coarsekit.__all__:
+        value = getattr(coarsekit, name)
+        if isinstance(value, types.ModuleType):
+            assert value is importlib.import_module(f"coarsekit.{name}")
+        else:
+            home = importlib.import_module(f"coarsekit.{coarsekit._HOME[name]}")
+            assert value is getattr(home, name), name
+            assert getattr(value, "__module__", home.__name__) == home.__name__, name
+    assert {"__version__", *STAR} <= set(dir(coarsekit))
+    with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
+        coarsekit.nonexistent  # noqa: B018
+    star = ast.literal_eval(_fresh(
+        "ns = {}; exec('from coarsekit import *', ns); "
+        "print(sorted(k for k in ns if k != '__builtins__'))"))
+    assert set(star) == STAR

@@ -257,6 +257,28 @@ def test_random_cover_matches_sort_reference(sp, seed, R, max_dim):
         assert all(type(x) is int for s in got.sets for x in s)
 
 
+def _graph_cycle_reference(n):
+    """The n-cycle through the graph route: unit edges, shortest paths."""
+    edges = [[i, (i + 1) % n, 1] for i in range(n)]
+    return build_space({"kind": "graph", "edges": edges, "labels": list(range(n))})
+
+
+def test_cycle_space_matches_graph_route():
+    for n in range(1, 201):
+        got, ref = cycle_space(n), _graph_cycle_reference(n)
+        assert got.labels == ref.labels
+        assert got.dmat.dtype == ref.dmat.dtype and got.dmat.tobytes() == ref.dmat.tobytes(), n
+        assert not got.dmat.flags.writeable
+
+
+def test_cycle_space_rejects_what_the_graph_route_rejects():
+    for n in (0, -3):
+        with pytest.raises(InputError, match="^a graph must have at least one vertex$"):
+            cycle_space(n)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        cycle_space(6.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_spaces(), st.integers(1, 3))
 def test_partition_searches_match_exhaustive_references(sp, n):

@@ -4,7 +4,7 @@ Each test builds a real output of one certified operation, passes it to the
 operation's named check (which must accept it), then passes tampered copies
 (each must raise CertificateError).  Checks whose failure a real input can
 provoke are also driven through the operation itself.  The LP and CLI sites
-are reached by replacing ``scipy.optimize.linprog`` or ``run_suite``.
+are reached by replacing ``scipy.optimize.linprog`` or ``suites.run_suite``.
 
 ``test_every_certificate_raise_is_executed`` runs every other test of this
 file under a line tracer and fails when some ``raise CertificateError`` line
@@ -437,7 +437,8 @@ def test_cli_result_sites():
         assert run_cli(args) == 1
     report = {"name": "disjointify", "seed": 1, "count": 1, "passed": 0,
               "failures": [{"instance": 0, "error": "tampered"}]}
-    with mock.patch.object(cli, "run_suite", return_value=report):
+    # the suite handler imports run_suite when it runs: patch it at its home
+    with mock.patch("coarsekit.suites.run_suite", return_value=report):
         assert run_cli(["suite", "--name", "disjointify", "--seed", "1"]) == 1
 
 
