@@ -313,7 +313,7 @@ def n_to_1_control(f: CoarseMap, n: int, *, c_cap: Optional[float] = None) -> NT
         raise PreconditionError("n must be >= 1")
     if c_cap is not None:
         check_number(c_cap, "c_cap")
-    scales = sorted({float(v) for v in f.codomain.dmat.ravel()})
+    scales = f.codomain.realized_distances()
     bps = []
     relaxed = []
     prev = 0.0

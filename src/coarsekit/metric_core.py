@@ -27,9 +27,17 @@ epsilon: exact for l1/linf clouds, rational-valued matrices and
 integer-weighted graphs.  l2 cloud distances are rounded square roots, and
 graph distances over non-integer weights are rounded sums (the smaller of the
 two directions' sums is stored on both sides, so the table is symmetric), so
-comparisons at equality follow the rounding.  Clouds and graphs are metrics
-by construction and are not re-checked for the triangle inequality (rounding
-can break it), only for finite distances, and clouds for distinct points.
+comparisons at equality follow the rounding.
+
+``verify_metric`` validates two kinds of table only: ``matrix`` descriptors
+and the Hausdorff quotients of ``coarse_maps``.  Clouds, graphs and the
+fixture cycles are metrics by construction and are not re-checked for the
+triangle inequality (rounding can break it), only for finite distances, and
+clouds for distinct points; subspaces and the tables derived inside
+``coarse_maps`` are not re-checked either.  The O(n^3) triangle check reads an
+int16 copy of a table of integers when twice its largest entry fits int16
+(at most 16383), where every sum is exact, and the float64 table otherwise;
+verdicts and messages are the float64 ones.
 
 scipy is imported only inside the graph branch of ``build_space`` (Dijkstra
 over a sparse adjacency), so only user ``graph`` descriptors load it; the
@@ -60,9 +68,23 @@ __all__ = [
     "bounded_components",
 ]
 
-# Rows per block of the triangle check: at 1000 points a block's rows, sums
-# and mask take about 1.1 MB, inside a 2 MB per-core L2 cache.
+# Rows per block of the triangle check on a float64 table: at 1000 points a
+# block's rows, sums and mask take about 1.1 MB, inside a 2 MB per-core L2
+# cache.  A block holds the same number of bytes on a narrower table, so an
+# int16 block holds 4x the rows.
 _ROW_BLOCK = 64
+
+
+def _exact_table(dmat: np.ndarray) -> np.ndarray:
+    """The narrowest table on which the triangle check's sums are exact: an
+    int16 copy of a table of integers when twice its largest entry fits int16,
+    else ``dmat`` itself.  ``dmat`` holds finite entries >= 0."""
+    top = dmat.max() if dmat.size else 0.0
+    # compared against max // 2, not 2 * top, which overflows near 1e308
+    if top <= np.iinfo(np.int16).max // 2:
+        table = dmat.astype(np.int16)
+        return table if np.array_equal(table, dmat) else dmat
+    return dmat
 
 
 def verify_metric(dmat: np.ndarray) -> None:
@@ -92,17 +114,22 @@ def verify_metric(dmat: np.ndarray) -> None:
     # against its own columns lo: onward through two buffers sized to the block,
     # and a block scans only the k below the least failing k found so far.  One
     # full pass at that k then names the first failing (i, j) in row-major order.
-    # A sum that overflows is +inf, which bounds every finite distance, so the
-    # overflow is no violation.
+    # The blocks read the narrowest exact table: integers whose sums fit the
+    # type sum exactly in float64 and in the integer type alike, so < answers
+    # the same on every triple; the full pass and the message read dmat.
+    # A float sum that overflows is +inf, which bounds every finite distance,
+    # so the overflow is no violation.
     least = n
+    table = _exact_table(dmat)
+    step = _ROW_BLOCK * 8 // table.itemsize
     with np.errstate(over="ignore"):
-        for lo in range(0, n, _ROW_BLOCK):
-            rows = dmat[lo : lo + _ROW_BLOCK]
+        for lo in range(0, n, step):
+            rows = table[lo : lo + step]
             right = rows[:, lo:]
             via = np.empty_like(right)
             worse = np.empty(right.shape, dtype=bool)
             for k in range(least):
-                np.add(rows[:, k : k + 1], dmat[k : k + 1, lo:], out=via)
+                np.add(rows[:, k : k + 1], table[k : k + 1, lo:], out=via)
                 np.less(via, right, out=worse)
                 if worse.any():
                     least = k
@@ -132,13 +159,14 @@ class FiniteMetricSpace:
             raise MetricError("distance table must be square")
         if len(labels) != dmat.shape[0]:
             raise InputError("label count does not match distance table size")
-        if validate:
-            verify_metric(dmat)
         self.labels = tuple(labels)
-        self.dmat = dmat
-        self.dmat.setflags(write=False)
+        # the O(n) label check before the O(n^3) triangle check
         if len(set(self.labels)) != len(self.labels):
             raise InputError("labels must be unique")
+        if validate:
+            verify_metric(dmat)
+        self.dmat = dmat
+        self.dmat.setflags(write=False)
 
     @property
     def n(self) -> int:

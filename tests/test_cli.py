@@ -61,6 +61,16 @@ class TestSpaceCommand:
         assert report is None
         assert "error:" in err
 
+    def test_duplicate_labels_are_usage_error(self, capsys, tmp_path):
+        sp = write(
+            tmp_path,
+            "dup.json",
+            {"kind": "matrix", "labels": [0, 1, 0], "matrix": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]},
+        )
+        code, report, err = run(capsys, ["space", "--space", sp])
+        assert code == 2 and report is None
+        assert "labels must be unique" in err
+
     @pytest.mark.parametrize("table", [None, 5])
     def test_scalar_matrix_is_usage_error(self, capsys, tmp_path, table):
         sp = write(tmp_path, "scalar.json", {"kind": "matrix", "matrix": table})

@@ -55,6 +55,17 @@ class TestBuildSpace:
                 }
             )
 
+    def test_duplicate_labels_rejected_before_the_triangle_check(self):
+        # the table breaks the triangle inequality too; the O(n) label check runs first
+        with pytest.raises(InputError, match="labels must be unique"):
+            build_space(
+                {
+                    "kind": "matrix",
+                    "labels": ["a", "b", "a"],
+                    "matrix": [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+                }
+            )
+
     def test_zero_distance_between_distinct_points_rejected(self):
         with pytest.raises(MetricError):
             build_space(

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,9 +54,10 @@ from coarsekit.coarse_maps import (
 from coarsekit.covers import split_on_carrier
 from coarsekit.dimension import _dfs_apc, _exact_partition_search, _greedy_apc, _greedy_partition
 from coarsekit.generators import cycle_space, grid_space, random_cover, random_space
+from coarsekit import metric_core
 from coarsekit.metric_core import (
-    _ROW_BLOCK,
     _dist_outside,
+    _exact_table,
     bits,
     bounded_components,
     point_masks,
@@ -884,15 +886,24 @@ def test_verify_metric_matches_slack_loop(dmat):
     assert _metric_outcome(verify_metric, dmat) == _metric_outcome(_ref_triangle_check, dmat)
 
 
+# The largest entry of an int16-route table: twice it fits int16, and twice
+# one more does not.
+_INT16_TOP = np.iinfo(np.int16).max // 2
+
+
 @st.composite
 def blocked_triangle_tables(draw):
-    """Symmetric l1 tables of 1-160 points, so the triangle check spans one to
-    three row blocks, with up to three changes: a point moved 1e308 away from
-    all others, so every sum through it overflows, or an entry and its mirror
-    raised (by up to 40, or to 1e308) or lowered (violations only at k in
-    {i, j}).  The entry is drawn from the whole table, from two different
+    """Symmetric l1 tables of 1-160 points and a ``_ROW_BLOCK`` under which the
+    triangle check spans one to three row blocks of the table it reads, with
+    up to three changes: a point moved far from all others (to 1e308, so every
+    sum through it overflows, or to the int16 route's edge, so the table's
+    largest entry sits there), or an entry and its mirror raised (by up to 40,
+    or to 1e308) or lowered (violations only at k in {i, j}), to a float or to
+    an integer.  The entry is drawn from the whole table, from two different
     blocks, or from the last block alone, where every failing k lies past the
-    first block."""
+    first block.  The scales put the table on the int16 route (1.0) or the
+    float64 route (0.1, 1/3); a change that moves an int16 table to float64
+    leaves it in blocks of a quarter the rows."""
     n = draw(st.integers(1, 160))
     xs = np.cumsum(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
     ys = np.array(draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)))
@@ -900,28 +911,34 @@ def blocked_triangle_tables(draw):
     pts = np.stack([xs, ys], axis=1)[order].astype(float)
     d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
     d *= draw(st.sampled_from([1.0, 0.1, 1 / 3]))
+    # rows of the table read per unit of _ROW_BLOCK: 1 on float64, 4 on int16
+    per = 8 // _exact_table(d).itemsize
+    block = draw(st.integers(-(-n // (3 * per)), -(-n // per)))
     if n < 2:
-        return d
-    last = (n - 1) // _ROW_BLOCK * _ROW_BLOCK
+        return d, block
+    rows = block * per
+    last = (n - 1) // rows * rows
     for _ in range(draw(st.integers(0, 3))):
         where = draw(st.sampled_from(["far", "any", "across", "last"]))
         if where == "far":
             p = draw(st.integers(0, n - 1))
-            d[p, :] = d[:, p] = 1e308
+            d[p, :] = d[:, p] = draw(st.sampled_from([1e308, float(_INT16_TOP), _INT16_TOP + 1.0]))
             d[p, p] = 0.0
             continue
         if where == "across" and last > 0:
             i = draw(st.integers(0, last - 1))
-            j = draw(st.integers(i // _ROW_BLOCK * _ROW_BLOCK + _ROW_BLOCK, n - 1))
+            j = draw(st.integers(i // rows * rows + rows, n - 1))
         elif where == "last" and n - last >= 2:
             i, j = draw(st.lists(st.integers(last, n - 1), min_size=2, max_size=2, unique=True))
         else:
             i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         d[i, j] = d[j, i] = draw(st.one_of(
             st.floats(1.0, 40.0).map(lambda grow: d[i, j] + grow),
+            st.integers(1, 40).map(lambda grow: d[i, j] + grow),
             st.floats(0.01, 0.99).map(lambda shrink: d[i, j] * shrink),
+            st.floats(0.01, 0.99).map(lambda shrink: max(1.0, math.floor(d[i, j] * shrink))),
             st.just(1e308)))
-    return d
+    return d, block
 
 
 def _path_table(n):
@@ -934,26 +951,71 @@ def _with_entry(d, i, j, value):
     return d
 
 
-def _with_far_point(d, p):
+def _with_far_point(d, p, far=1e308):
     d = d.copy()
-    d[p, :] = d[:, p] = 1e308
+    d[p, :] = d[:, p] = far
     d[p, p] = 0.0
     return d
 
 
-@settings(max_examples=40, deadline=None)
+def _check_in_blocks(dmat, block):
+    """verify_metric's outcome with ``_ROW_BLOCK`` patched to ``block``,
+    warnings raised as errors."""
+    with mock.patch.object(metric_core, "_ROW_BLOCK", block), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _metric_outcome(verify_metric, dmat)
+
+
+@settings(max_examples=60, deadline=None)
 @given(blocked_triangle_tables())
-# lowered inside the third block: every failing k lies there
-@example(_with_entry(_path_table(150), 130, 140, 0.5))
+# 64 rows a block on both routes (16 on int16 is 64 rows)
+# lowered inside the third block: every failing k lies there (float64, int16)
+@example((_with_entry(_path_table(150), 130, 140, 0.5), 64))
+@example((_with_entry(_path_table(150), 130, 140, 1.0), 16))
 # raised across the first and third blocks: only block 0's rows see (i, j)
-@example(_with_entry(_path_table(150), 3, 140, 200.0))
-@example(_with_entry(_path_table(150), 70, 140, 1e308))
+@example((_with_entry(_path_table(150), 3, 140, 200.0), 16))
+@example((_with_entry(_path_table(150), 70, 140, 1e308), 64))
 # sums through point 100 overflow before the violation at k = 130 is reached
-@example(_with_entry(_with_far_point(_path_table(150), 100), 130, 140, 0.5))
-def test_verify_metric_matches_slack_loop_across_row_blocks(dmat):
+@example((_with_entry(_with_far_point(_path_table(150), 100), 130, 140, 0.5), 64))
+# sums through point 100 would wrap past the int16 maximum
+@example((_with_entry(_with_far_point(_path_table(150), 100, _INT16_TOP + 1), 130, 140, 1.0), 64))
+def test_verify_metric_matches_slack_loop_across_row_blocks(case):
+    dmat, block = case
+    assert _check_in_blocks(dmat, block) == _metric_outcome(_ref_triangle_check, dmat)
+
+
+def _route_table(top, plant):
+    """Four points all ``top`` apart; ``plant`` brings point 1 within 1 of
+    points 2 and 3, so (2, 1, 3) is the least violation, while every sum
+    through point 0 is 2 * top, which wraps in int16 one past the edge."""
+    d = np.full((4, 4), float(top))
+    np.fill_diagonal(d, 0.0)
+    if plant:
+        d[1, 2:] = d[2:, 1] = 1.0
+    return d
+
+
+@pytest.mark.parametrize("dmat, dtype", [
+    (np.zeros((0, 0)), np.int16),
+    (np.zeros((1, 1)), np.int16),
+    (_route_table(_INT16_TOP, False), np.int16),
+    (_route_table(_INT16_TOP + 1, False), np.float64),
+    (_route_table(_INT16_TOP - 0.5, False), np.float64),
+    (_route_table(1e308, False), np.float64),
+])
+def test_exact_table_route_edges(dmat, dtype):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _metric_outcome(verify_metric, dmat) == _metric_outcome(_ref_triangle_check, dmat)
+        assert _exact_table(dmat).dtype == dtype
+    assert _check_in_blocks(dmat, 1) is None
+
+
+@pytest.mark.parametrize("top", [_INT16_TOP, _INT16_TOP + 1])
+def test_verify_metric_matches_slack_loop_at_route_edge(top):
+    dmat = _route_table(top, True)
+    expected = _metric_outcome(_ref_triangle_check, dmat)
+    assert expected.startswith(f"triangle violation at (2,1,3): d(2,3) = {float(top)} >")
+    assert _check_in_blocks(dmat, 1) == expected
 
 
 # ---------------------------------------------------------------------------
