@@ -261,17 +261,20 @@ def min_max_diameter_partition(space: FiniteMetricSpace, members: frozenset, n: 
 
     Feasibility of a candidate diameter c is an n-colouring question on the
     conflict graph {pairs with d > c}; candidates are the realized pairwise
-    distances.  Returns (value, parts).
+    distances.  Singletons (n >= |members|) and the whole set (n = 1) need no
+    search and are answered at any size.  Returns (value, parts).
     """
     pts = sorted(_check_points(space, tuple(members), "members"))
     k = len(pts)
     if k == 0:
         raise PreconditionError("empty set has no partition")
-    if k > EXACT_PARTITION_CAP:
-        raise PreconditionError(f"exact partition search capped at {EXACT_PARTITION_CAP} points")
     if n >= k:
         return 0.0, [frozenset({p}) for p in pts]
     block = _block(space.dmat, pts)
+    if n == 1:
+        return float(block.max()), [frozenset(pts)]
+    if k > EXACT_PARTITION_CAP:
+        raise PreconditionError(f"exact partition search capped at {EXACT_PARTITION_CAP} points")
 
     def parts_within(c):
         colors = graph_coloring(block > c, n)
@@ -297,8 +300,9 @@ class NTo1Control:
     the bound is attained, so consumers must treat it as closed).
     ``relaxed_at`` lists the scales where the value is only an upper bound on
     the least control: the R-component relaxation replaced the exact partition
-    search (a preimage above EXACT_PARTITION_CAP points), or a closed ball
-    above CLIQUE_ENUM_CAP points stood whole for its maximal r-bounded sets.
+    search (a preimage above EXACT_PARTITION_CAP points, 1 < n < its size), or
+    a closed ball above CLIQUE_ENUM_CAP points stood whole for its maximal
+    r-bounded sets.
     """
 
     n: int
@@ -340,9 +344,9 @@ def n_to_1_control(f: CoarseMap, n: int, *, c_cap: Optional[float] = None) -> NT
 
 def _partition_value(space: FiniteMetricSpace, pre: frozenset, n: int):
     """(value, exact) of one fiber block: the least max diameter of a partition
-    of ``pre`` into <= n parts; above EXACT_PARTITION_CAP points the upper
-    bound of the component relaxation, whose <= n components are one."""
-    if len(pre) <= EXACT_PARTITION_CAP:
+    of ``pre`` into <= n parts, or, above EXACT_PARTITION_CAP points with
+    1 < n < |pre|, the upper bound of the component relaxation."""
+    if len(pre) <= EXACT_PARTITION_CAP or n == 1 or n >= len(pre):
         return min_max_diameter_partition(space, pre, n)[0], True
     return _component_relaxation(space, pre, n), False
 

@@ -22,6 +22,7 @@ from .errors import CertificateError, InputError, PreconditionError, check_numbe
 from .metric_core import (
     FiniteMetricSpace,
     Subset,
+    _block,
     _check_points,
     bits,
     bounded_components,
@@ -398,7 +399,7 @@ def map_msp_check(
     (measure picks weights on the preimage, player picks a set whose
     R-components are S-bounded) equals 1 / (fractional covering number of the
     maximal feasible sets).  Solved exactly by linear programming for preimages
-    up to 12 points, with the measure-side dual recomputed as a cross-check;
+    up to 12 points, certified by the cover and packing of one solve;
     larger instances are probed with adversarial concentrated measures and
     reported inconclusive.
     """
@@ -448,6 +449,9 @@ def _maximal_feasible_sets(space, pts, R, S):
 
 
 def _game_value(space, pts, R, S):
+    """(1/tau, number of maximal feasible sets) on ``pts``, tau their fractional
+    covering number: one HiGHS solve gives the cover y and, as the duals of its
+    cover rows, the packing z, which ``_check_game`` certifies."""
     from scipy.optimize import linprog
 
     maximal = _maximal_feasible_sets(space, pts, R, S)
@@ -465,38 +469,28 @@ def _game_value(space, pts, R, S):
     )
     if not res.success:
         raise CertificateError("covering LP failed to solve")
-    tau = res.fun
-    value = 1.0 / tau
-    # dual route: min over measures of max feasible mass
-    # variables: weights w (k) and t; minimize t subject to sum_{x in O} w_x <= t
-    Ad = np.hstack([Acov.T, -np.ones((len(maximal), 1))])
-    res2 = linprog(
-        c=[0.0] * k + [1.0],
-        A_ub=Ad,
-        b_ub=np.zeros(len(maximal)),
-        A_eq=[[1.0] * k + [0.0]],
-        b_eq=[1.0],
-        bounds=[(0, None)] * k + [(None, None)],
-        method="highs",
-    )
-    if not res2.success:
-        raise CertificateError("game LP failed to solve")
-    if not math.isclose(value, res2.fun, rel_tol=1e-9, abs_tol=1e-9):
-        raise CertificateError(
-            f"primal/dual game values disagree: {value} vs {res2.fun}"
-        )
-    return value, len(maximal)
+    _check_game(Acov, res.x, -res.ineqlin.marginals, res.fun)
+    return 1.0 / res.fun, len(maximal)
+
+
+def _check_game(Acov, y, z, tau):
+    """The game value's certificate, within 1e-9: y is a fractional cover of
+    the points (rows of Acov) by the maximal feasible sets (its columns), z a
+    fractional packing of the points into those sets, and both total tau.  By
+    weak duality tau is then the fractional covering number."""
+    tol = 1e-9
+    if (y < -tol).any() or (Acov @ y < 1 - tol).any():
+        raise CertificateError("y is not a fractional cover", witness=y.tolist())
+    if (z < -tol).any() or (Acov.T @ z > 1 + tol).any():
+        raise CertificateError("z is not a fractional packing", witness=z.tolist())
+    for name, total in (("cover", y.sum()), ("packing", z.sum())):
+        if not math.isclose(total, tau, rel_tol=tol, abs_tol=tol):
+            raise CertificateError(f"{name} total {total} differs from tau = {tau}")
 
 
 def _adversarial_probe(space, pts, R, S):
-    """Upper bound on the game value from concentrated two-point measures."""
-    best = 1.0
-    k = len(pts)
-    for a_pos in range(k):
-        for b_pos in range(a_pos + 1, k):
-            a, b = pts[a_pos], pts[b_pos]
-            d = space.dmat[a, b]
-            # points closer than R chain into one component, which must be <= S
-            if d < R and d > S:
-                best = min(best, 0.5)
-    return best
+    """Upper bound on the game value from concentrated two-point measures:
+    1/2 when two points chain into one component (closer than R) wider than
+    S, else 1.  The diagonal is 0 and S >= 0, so no point pairs with itself."""
+    b = _block(space.dmat, pts)
+    return 0.5 if ((b < R) & (b > S)).any() else 1.0

@@ -213,8 +213,20 @@ class TestNTo1Control:
         ctl = n_to_1_control(identity_map(path_space(70)), 1)
         assert ctl.step(1.0) == 1.0
         assert 1.0 not in ctl.relaxed_at
-        # from r = 16 on, the 17-point preimages exceed the exact partition cap
-        assert ctl.relaxed_at == tuple(float(r) for r in range(16, 70))
+        # with n = 1 a preimage's value is its diameter at any size, so only
+        # the scales from r = 32 on, where the middle balls hold 65 points, are
+        # flagged (the 17-point and larger preimages once were, from r = 16)
+        assert ctl.relaxed_at == tuple(float(r) for r in range(32, 70))
+
+    def test_trivial_partitions_above_partition_cap_are_exact(self):
+        # one part is the whole preimage and |preimage| parts are singletons,
+        # at any size; a 20-point fiber was once flagged relaxed at every scale
+        f = constant_map(path_space(20))
+        for n, value in ((1, 19.0), (20, 0.0), (25, 0.0)):
+            ctl = n_to_1_control(f, n)
+            assert ctl.relaxed_at == ()
+            assert ctl.step(0.0) == value
+        assert n_to_1_control(f, 2).relaxed_at == (0.0,)
 
     def test_ball_fallback_scales_are_flagged(self):
         # from r = 32 on the middle balls of path_space(70) hold 65 points and
@@ -443,6 +455,15 @@ class TestRawPointIndices:
     def test_bounded_sets_within(self, points):
         with pytest.raises(InputError, match="^within .* are not points of the owning space$"):
             maximal_r_bounded_sets(path_space(5), 1.0, within=points)
+
+    def test_trivial_partitions_above_the_cap(self):
+        # once PreconditionError "exact partition search capped at 16 points"
+        sp = path_space(20)
+        assert min_max_diameter_partition(sp, range(17), 1) == (16.0, [frozenset(range(17))])
+        assert min_max_diameter_partition(sp, range(17), 17) == (
+            0.0, [frozenset({p}) for p in range(17)])
+        with pytest.raises(PreconditionError, match="capped at 16 points"):
+            min_max_diameter_partition(sp, range(17), 2)
 
     def test_valid_points_accepted(self):
         sp = path_space(5)

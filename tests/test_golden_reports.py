@@ -77,8 +77,9 @@ CASES = {
     "map-control-fold7": (
         _fold(range(-7, 8)), ["map", "control", *_MAP, "--n", "2"], 0),
     "map-control-relaxed": (
-        # the full preimage has 19 points, above the exact partition cap
-        _fold(_SQUARES), ["map", "control", *_MAP, "--n", "1"], 0),
+        # the full preimage has 19 points, above the exact partition cap; with
+        # n = 1 its value would be its diameter, exact at any size
+        _fold(_SQUARES), ["map", "control", *_MAP, "--n", "2"], 0),
     "msp-push-coloring": (
         # x -> 3x mod 14 brings far witness sets close: their images need 3 colours
         {"dom.json": _line(range(14)), "cod.json": _line(range(14)),

@@ -1,4 +1,5 @@
 import fractions
+import itertools
 import math
 import os
 import subprocess
@@ -373,6 +374,18 @@ class TestMapMspCheck:
         assert rep["worst_value"] == 1.0
         assert rep["achievable"] is True
 
+    @pytest.mark.parametrize("R, S, value", [(2.0, 0.0, 0.5), (2.0, 1.0, 1.0), (1.0, 0.0, 1.0),
+                                             (3.0, 1.5, 0.5)])
+    def test_block_above_game_cap_is_probed(self, R, S, value):
+        # one preimage of EXACT_GAME_CAP + 1 points: only the two-point probe
+        # bounds its value, so the report is inconclusive
+        sp = path_space(msp_module.EXACT_GAME_CAP + 1)
+        f = CoarseMap(sp, path_space(1), (0,) * sp.n)
+        rep = map_msp_check(f, f.codomain.full(), R, S, 0.25, 0.0)
+        assert rep["blocks"] == [{"block": [0], "value": value, "exact": False}]
+        assert rep["exact"] is False and rep["achievable"] is None
+        assert rep["worst_value"] == value == _pairwise_probe_reference(sp, range(sp.n), R, S)
+
     def test_bad_threshold_rejected(self):
         f = fold_map(3)
         with pytest.raises(InputError):
@@ -390,6 +403,17 @@ class TestMapMspCheck:
         f = fold_map(3)
         with pytest.raises(InputError, match="subset of the codomain"):
             map_msp_check(f, Subset(f.domain, frozenset({0, 1})), 10.0, 0.0, 0.25, 0.0)
+
+
+def _pairwise_probe_reference(space, pts, R, S):
+    """The two-point probe as a loop over pairs: 1/2 when some pair lies
+    closer than R but farther than S apart."""
+    best = 1.0
+    for a, b in itertools.combinations(pts, 2):
+        d = space.dmat[a, b]
+        if d < R and d > S:
+            best = min(best, 0.5)
+    return best
 
 
 def _whole(sp):

@@ -63,7 +63,7 @@ from coarsekit.metric_core import (
     point_masks,
     verify_metric,
 )
-from coarsekit.msp import _feasible_masks, _max_mass_mask, _maximal_feasible_sets
+from coarsekit.msp import _feasible_masks, _game_value, _max_mass_mask, _maximal_feasible_sets
 from coarsekit.serialization import tree_to_json
 from coarsekit.trees import _require_valid
 
@@ -310,6 +310,36 @@ def test_maximal_feasible_sets_match_pairwise_filter(sp, R, S):
     feas = [m for m in range(1, 1 << sp.n) if feasible(m)]
     reference = [m for m in feas if not any(m != o and m & o == m for o in feas)]
     assert _maximal_feasible_sets(sp, list(range(sp.n)), R, S) == reference
+
+
+def _two_lp_game_reference(space, pts, R, S):
+    """The game value by two solves: the covering LP over the maximal feasible
+    sets, and the measure-side LP (min t with every set's mass <= t and total
+    mass 1), whose optima must agree.  Returns (value, number of sets)."""
+    from scipy.optimize import linprog
+
+    maximal = _maximal_feasible_sets(space, pts, R, S)
+    k = len(pts)
+    Acov = np.zeros((k, len(maximal)))
+    for j, m in enumerate(maximal):
+        Acov[list(bits(m)), j] = 1.0
+    cover = linprog(c=np.ones(len(maximal)), A_ub=-Acov, b_ub=-np.ones(k),
+                    bounds=[(0, None)] * len(maximal), method="highs")
+    game = linprog(c=[0.0] * k + [1.0], A_ub=np.hstack([Acov.T, -np.ones((len(maximal), 1))]),
+                   b_ub=np.zeros(len(maximal)), A_eq=[[1.0] * k + [0.0]], b_eq=[1.0],
+                   bounds=[(0, None)] * k + [(None, None)], method="highs")
+    assert cover.success and game.success
+    assert math.isclose(1.0 / cover.fun, game.fun, rel_tol=1e-9, abs_tol=1e-9)
+    return game.fun, len(maximal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_spaces(), scales, scales)
+def test_game_value_matches_two_lp_reference(sp, R, S):
+    value, n_sets = _game_value(sp, list(range(sp.n)), R, S)
+    ref_value, ref_sets = _two_lp_game_reference(sp, list(range(sp.n)), R, S)
+    assert n_sets == ref_sets
+    assert math.isclose(value, ref_value, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def _component_ok_reference(space, pts, R, mesh_cap):

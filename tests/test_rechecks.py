@@ -287,35 +287,50 @@ def test_msp_pullback_stage_masses():
 
 
 def test_game_lp_sites():
+    # path_space(4) at R=2, S=0: the maximal feasible sets hold no two
+    # neighbours, and the fractional covering number is 2
     sp = path_space(4)
     pts = [0, 1, 2, 3]
-    assert msp._game_value(sp, pts, 2.0, 0.0)[0] == pytest.approx(0.5)
     real = scipy.optimize.linprog
+    solves = []
 
-    def failing(which):
-        calls = []
-
-        def fake(*a, **kw):
-            calls.append(1)
-            res = real(*a, **kw)
-            if len(calls) == which:
-                res.success = False
-            return res
-
-        return fake
-
-    for which, match in ((1, "covering LP"), (2, "game LP")):
-        with mock.patch.object(scipy.optimize, "linprog", failing(which)):
-            rejects(lambda: msp._game_value(sp, pts, 2.0, 0.0), match)
-
-    def skewed(*a, **kw):
+    def recording(*a, **kw):
         res = real(*a, **kw)
-        if "A_eq" in kw:
-            res.fun += 0.1
+        solves.append((kw["A_ub"], res))
         return res
 
-    with mock.patch.object(scipy.optimize, "linprog", skewed):
-        rejects(lambda: msp._game_value(sp, pts, 2.0, 0.0), "disagree")
+    with mock.patch.object(scipy.optimize, "linprog", recording):
+        assert msp._game_value(sp, pts, 2.0, 0.0)[0] == pytest.approx(0.5)
+    assert len(solves) == 1
+    A_ub, res = solves[0]
+    Acov, y, z, tau = -A_ub, res.x, -res.ineqlin.marginals, res.fun
+    msp._check_game(Acov, y, z, tau)
+
+    uncovered = y * (Acov[0] == 0)  # drop every set holding point 0
+    rejects(lambda: msp._check_game(Acov, uncovered, z, tau), "not a fractional cover")
+    overpacked = z.copy()
+    overpacked[0] += 1.0
+    rejects(lambda: msp._check_game(Acov, y, overpacked, tau), "not a fractional packing")
+    # a set whose points all lie in other sets: with every other set at >= 1,
+    # a negative weight on it leaves the cover intact
+    spare = next(j for j in range(Acov.shape[1]) if (Acov.sum(axis=1) - Acov[:, j] >= 1).all())
+    negative_y = y + 1.0
+    negative_y[spare] = -0.5
+    assert (Acov @ negative_y >= 1).all()
+    rejects(lambda: msp._check_game(Acov, negative_y, z, tau), "not a fractional cover")
+    negative_z = z.copy()
+    negative_z[0] = -0.5
+    rejects(lambda: msp._check_game(Acov, y, negative_z, tau), "not a fractional packing")
+    rejects(lambda: msp._check_game(Acov, y, z, tau + 0.1), "cover total")
+    rejects(lambda: msp._check_game(Acov, y, 0.9 * z, tau), "packing total")
+
+    def failing(*a, **kw):
+        res = real(*a, **kw)
+        res.success = False
+        return res
+
+    with mock.patch.object(scipy.optimize, "linprog", failing):
+        rejects(lambda: msp._game_value(sp, pts, 2.0, 0.0), "covering LP")
 
 
 # ------------------------------------------------------------------- trees
