@@ -71,7 +71,7 @@ def _decode(label: str, decode, obj, *ctx):
         return decode(obj, *ctx)
     except KeyError as e:
         raise _UsageError(f"{label}: missing field {e}")
-    except (InputError, MetricError, TypeError, ValueError) as e:
+    except (InputError, MetricError, TypeError, ValueError, OverflowError) as e:
         raise _UsageError(f"{label}: {e}")
 
 

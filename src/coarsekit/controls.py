@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from .errors import InputError, check_number
+from .errors import InputError, check_number, json_number
 
 __all__ = ["StepFunction", "LinearControl", "as_control"]
 
@@ -95,6 +95,6 @@ def as_control(obj):
         if obj.get("type") == "linear":
             return LinearControl(obj["a"], obj.get("b", 0.0), obj.get("inclusive", True))
         if obj.get("type") == "step":
-            bps = tuple((r, float(v)) for r, v in obj["breakpoints"])
+            bps = tuple((r, json_number(v, "breakpoints")) for r, v in obj["breakpoints"])
             return StepFunction(bps, obj.get("inclusive", True))
     raise InputError(f"cannot interpret {obj!r} as a control function")

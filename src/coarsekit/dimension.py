@@ -16,7 +16,7 @@ import numpy as np
 from .controls import as_control
 from .coarse_maps import CoarseMap, pullback_family
 from .covers import FamilyOfSets, check_families, dim_at_scale, is_r_disjoint, on_carrier, split_on_carrier
-from .errors import CertificateError, InputError, PreconditionError, Refusal, check_number
+from .errors import CertificateError, InputError, PreconditionError, Refusal, check_number, is_int
 from .metric_core import FiniteMetricSpace, bits, bounded_components, components, point_masks
 
 __all__ = [
@@ -81,6 +81,8 @@ class DimSequenceWitness:
     def __post_init__(self):
         for R in self.scales:
             check_number(R, "scales")
+        if not all(is_int(n) for n in self.dims):
+            raise InputError(f"dims must be integers, got {list(self.dims)!r}")
         if not (len(self.scales) == len(self.dims) == len(self.families)):
             raise InputError("scales, dims, and families must align")
 

@@ -3,7 +3,7 @@
 The number policy lives here, in ``check_number`` and ``is_int``, because
 every module already imports this one.  A scale, bound, mesh cap or threshold
 that reaches a public entry is a real number and never NaN; +-inf passes
-unless the entry needs a finite value.
+unless the entry needs a finite value.  ``json_number`` reads JSON numbers.
 """
 
 import math
@@ -70,3 +70,8 @@ def check_number(x, name, *, finite=False):
     if math.isnan(x):
         raise InputError(f"{name} must not be NaN")
     return x
+
+
+def json_number(x, name) -> float:
+    """A float under ``check_number``, or from the "inf" and "-inf" that reports write."""
+    return float(x if x in ("inf", "-inf") else check_number(x, name))

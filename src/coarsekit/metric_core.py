@@ -155,6 +155,7 @@ class FiniteMetricSpace:
 
     def __init__(self, labels: Sequence, dmat: np.ndarray, *, validate: bool = True):
         dmat = np.asarray(dmat, dtype=float)
+        dmat = dmat if dmat.base is None else dmat.copy()  # a view, whose base could write to it
         if dmat.ndim != 2:
             raise MetricError("distance table must be square")
         if len(labels) != dmat.shape[0]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ from .coarse_maps import (
     maximal_r_bounded_sets,
 )
 from .covers import FamilyOfSets, is_r_disjoint, mesh, split_on_carrier
-from .errors import CertificateError, InputError, PreconditionError, check_number
+from .errors import CertificateError, InputError, PreconditionError, check_number, is_int
 from .metric_core import (
     FiniteMetricSpace,
     Subset,
@@ -50,31 +51,40 @@ EXACT_GAME_CAP = 12
 
 @dataclass(frozen=True)
 class ProbMeasure:
-    """Nonnegative weights per point summing to 1 (renormalized and flagged if not)."""
+    """Nonnegative weights per point summing to 1 (renormalized and flagged if
+    not), held exactly: point i weighs ``units[i] / total``, in lowest terms,
+    and ``weights`` are those quotients correctly rounded."""
 
     space: FiniteMetricSpace
     weights: tuple
     renormalized: bool = False
+    units: tuple = field(init=False, repr=False, compare=False)
+    total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = tuple(float(check_number(v, "weights", finite=True)) for v in self.weights)
-        if len(w) != self.space.n:
+        # numpy's integers have no as_integer_ratio; floats and Fractions do
+        ratios = [(int(v), 1) if is_int(v) else
+                  check_number(v, "weights", finite=True).as_integer_ratio() for v in self.weights]
+        if len(ratios) != self.space.n:
             raise InputError("one weight per point required")
-        if any(v < 0 for v in w):
+        if any(p < 0 for p, _ in ratios):
             raise InputError("weights must be nonnegative")
-        total = sum(w)
+        common = math.lcm(*(q for _, q in ratios))
+        units = [p * (common // q) for p, q in ratios]
+        total = sum(units)
         if total <= 0:
             raise InputError("total mass must be positive")
-        if total != 1.0:
-            w = tuple(v / total for v in w)
-            object.__setattr__(self, "renormalized", True)
-        object.__setattr__(self, "weights", w)
+        g = math.gcd(total, *units)
+        object.__setattr__(self, "renormalized", total != common)
+        object.__setattr__(self, "units", tuple(u // g for u in units))
+        object.__setattr__(self, "total", total // g)
+        object.__setattr__(self, "weights", tuple(u / self.total for u in self.units))
 
-    def mass(self, members) -> float:
-        return float(sum(self.weights[i] for i in members))
+    def mass(self, members) -> Fraction:
+        return Fraction(sum(self.units[i] for i in members), self.total)
 
     def support(self) -> frozenset:
-        return frozenset(i for i, v in enumerate(self.weights) if v > 0)
+        return frozenset(i for i, u in enumerate(self.units) if u)
 
 
 @dataclass(frozen=True)
@@ -84,13 +94,13 @@ class MassFamily:
     family: FamilyOfSets
     R: float
     S: float
-    mass: float
+    mass: Fraction
     exact: bool = True
     flags: dict = field(default_factory=dict, compare=False)
 
-    def verify(self, mu: ProbMeasure, floor: float = 0.0):
+    def verify(self, mu: ProbMeasure, floor=0):
         """Re-check R-disjointness, the diameter bound S, the stated mass
-        against mu, and the construction's guaranteed mass ``floor``."""
+        against mu, and the construction's guaranteed mass ``floor``, exactly."""
         ok, wit = is_r_disjoint(self.family, self.R)
         if not ok:
             raise CertificateError("family not R-disjoint", witness=wit)
@@ -98,9 +108,9 @@ class MassFamily:
         if widest > self.S:
             raise CertificateError("a set exceeds the diameter bound", witness=widest)
         got = mu.mass(self.family.union())
-        if not math.isclose(got, self.mass, rel_tol=0, abs_tol=1e-12):
+        if got != self.mass:
             raise CertificateError(f"mass mismatch: stated {self.mass}, got {got}")
-        if self.mass < floor - 1e-12:
+        if self.mass < floor:
             raise CertificateError(f"mass {self.mass} below the guaranteed {floor}")
 
 
@@ -115,38 +125,34 @@ def _feasible_masks(feasible, points):
 
 
 def _max_mass_mask(feasible, mu: ProbMeasure, points):
-    """The least feasible mask over ``points`` with the greatest float mass,
-    and that mass, by depth-first branch and bound.
+    """The least feasible mask over ``points`` with the greatest mass, and
+    that mass in ``mu.units``, by depth-first branch and bound.
 
     Points are decided from the highest index down, inclusion first; by
     downward closure a point is included only while the mask stays feasible,
     so every feasible mask is a leaf.  A node is pruned when even all its
-    undecided weight cannot reach the best mass; the 1e-9 slack keeps leaves
-    that tie with the best under float rounding.  A leaf's mass is summed
-    over a frozenset of its points: float sums depend on their order, and
-    this order fixes the reported mass.  A tie goes to the lesser mask, so
-    the answer does not depend on the visit order.
+    undecided weight cannot reach the best mass.  A tie goes to the lesser
+    mask, so the answer does not depend on the visit order.
     """
     order = sorted(points, reverse=True)
-    w = mu.weights
+    w = mu.units
     rest = [sum(w[p] for p in order[i:]) for i in range(len(order) + 1)]
-    best_mask, best = 0, -1.0
+    best_mask, best = 0, -1
 
     def search(i, mask, partial):
         nonlocal best_mask, best
-        if partial + rest[i] < best - 1e-9:
+        if partial + rest[i] < best:
             return
         if i == len(order):
-            m = mu.mass(frozenset(bits(mask)))
-            if m > best or (m == best and mask < best_mask):
-                best_mask, best = mask, m
+            if partial > best or (partial == best and mask < best_mask):
+                best_mask, best = mask, partial
             return
         p = order[i]
         if feasible(mask | 1 << p):
             search(i + 1, mask | 1 << p, partial + w[p])
         search(i + 1, mask, partial)
 
-    search(0, 0, 0.0)
+    search(0, 0, 0)
     return best_mask, best
 
 
@@ -168,25 +174,22 @@ def best_mass_family(
     n = space.n
     if n <= exact_cap:
         # only support points matter for mass; adding zero-weight points never helps
-        best_mask, best_mass = _max_mass_mask(bounded_components(space, R, S), mu, mu.support())
+        best_mask, best_units = _max_mass_mask(bounded_components(space, R, S), mu, mu.support())
         fam = FamilyOfSets(space, components(space, bits(best_mask), R, strict=True))
-        out = MassFamily(fam, R, S, max(best_mass, 0.0), exact=True)
+        out = MassFamily(fam, R, S, Fraction(best_units, mu.total), exact=True)
         out.verify(mu)
         return out
     candidates, exact_sets = maximal_r_bounded_sets(space, S)
     remaining = set(range(n))
-    chosen = []
-    total = 0.0
+    chosen, total = [], 0
     while True:
-        best_set, best_m = None, 0.0
+        best_set, best_m = None, 0
         for c in candidates:
             cc = frozenset(c) & frozenset(remaining)
-            if not cc:
-                continue
-            m = mu.mass(cc)
+            m = sum(mu.units[i] for i in cc)
             if m > best_m:
                 best_set, best_m = cc, m
-        if best_set is None or best_m <= 0.0:
+        if best_set is None:
             break
         chosen.append(best_set)
         total += best_m
@@ -195,7 +198,7 @@ def best_mass_family(
     flags = {"lower_bound": True}
     if not exact_sets:
         flags["candidate_slack"] = 2.0
-    out = MassFamily(fam, R, S, total, exact=False, flags=flags)
+    out = MassFamily(fam, R, S, Fraction(total, mu.total), exact=False, flags=flags)
     out.verify(mu)
     return out
 
@@ -209,7 +212,7 @@ def half_mass_witness(
     for B in space.realized_distances():
         if B > 0:
             cand = best_mass_family(space, mu, R, B)
-            if cand.mass > 0.5:
+            if cand.mass > Fraction(1, 2):
                 return cand
     return None
 
@@ -230,11 +233,11 @@ def asdim_to_msp(cover: FamilyOfSets, R: float, mu: ProbMeasure) -> MassFamily:
     best_c, best_m = _heaviest(mu, classes)
     out = MassFamily(classes[best_c], R, S, best_m,
                      flags={"color": best_c, "n_colors": cover.n_colors})
-    out.verify(mu, floor=1.0 / cover.n_colors)
+    out.verify(mu, floor=Fraction(1, cover.n_colors))
     return out
 
 
-def _heaviest(mu: ProbMeasure, families) -> tuple[int, float]:
+def _heaviest(mu: ProbMeasure, families) -> tuple[int, Fraction]:
     """(index, mass) of the first family whose union has the largest mu-mass."""
     masses = [mu.mass(fam.union()) for fam in families]
     best = masses.index(max(masses))
@@ -253,9 +256,9 @@ def transfer_measure_selection(f: CoarseMap, mu: ProbMeasure, selection: Sequenc
     for y, x in enumerate(selection):
         if f(x) != y:
             raise PreconditionError(f"selection is not a right inverse at {y}")
-    w = [0.0] * f.domain.n
+    w = [0] * f.domain.n
     for y, x in enumerate(selection):
-        w[x] += mu.weights[y]
+        w[x] += mu.units[y]
     return ProbMeasure(f.domain, tuple(w))
 
 
@@ -263,9 +266,9 @@ def pushforward_measure(f: CoarseMap, mu: ProbMeasure) -> ProbMeasure:
     """lambda(y) = mu of the fiber over y."""
     if mu.space is not f.domain:
         raise InputError("measure must live on the domain")
-    w = [0.0] * f.codomain.n
-    for x, v in enumerate(mu.weights):
-        w[f(x)] += v
+    w = [0] * f.codomain.n
+    for x, u in enumerate(mu.units):
+        w[f(x)] += u
     return ProbMeasure(f.codomain, tuple(w))
 
 
@@ -294,7 +297,7 @@ def msp_pushforward(
     witness.verify(lam)
     B = witness.S
     E = control_upper(f)
-    if witness.mass < 0.5:
+    if witness.mass < Fraction(1, 2):
         raise PreconditionError(f"witness mass {witness.mass} below 1/2")
     images = [f.image_set(s) for s in witness.family.sets if s]
     Y = f.codomain
@@ -311,9 +314,10 @@ def msp_pushforward(
         S = E(B) + 2 * n * R
         flags = {"route": "disjointify", "bound_slack": n * R}
     best_c, best_m = _heaviest(mu, fams)
-    flags["equality"] = math.isclose(best_m, 1.0 / (2 * n), rel_tol=0, abs_tol=1e-12)
+    floor = Fraction(1, 2 * n)
+    flags["equality"] = best_m == floor
     out = MassFamily(fams[best_c], R, S, best_m, flags=flags)
-    out.verify(mu, floor=1.0 / (2 * n))
+    out.verify(mu, floor=floor)
     return out
 
 
@@ -350,43 +354,29 @@ def msp_pullback(
         raise PreconditionError(f"R_Y must be > E(R_X) = {e}")
     lam = pushforward_measure(f, mu)
     stage1 = best_mass_family(f.codomain, lam, R_Y, K)
-    if stage1.mass < 0.5:
-        raise CertificateError(
-            f"codomain stage mass {stage1.mass} below 1/2", witness="codomain"
-        )
+    if stage1.mass < Fraction(1, 2):
+        raise CertificateError(f"codomain stage mass {stage1.mass} below 1/2", witness="codomain")
     pieces = []
     for comp in stage1.family.sets:
         pre = f.preimage(comp)
-        if mu.mass(pre) <= 0:
-            continue
         # The weighted part of the preimage is its own fiber set of full mass
         # when its R_X-components are S-bounded; the search runs otherwise.
-        heavy = components(f.domain, (x for x in pre if mu.weights[x] > 0), R_X, strict=True)
+        heavy = components(f.domain, (x for x in pre if mu.units[x]), R_X, strict=True)
         if all(diameter(Subset(f.domain, c)) <= S for c in heavy):
             pieces += heavy
             continue
         sub, old_of_new = f.domain.subspace(pre)
-        local = ProbMeasure(sub, tuple(mu.weights[o] for o in old_of_new))
+        local = ProbMeasure(sub, tuple(mu.units[o] for o in old_of_new))
         found = best_mass_family(sub, local, R_X, S)
-        if found.mass < 0.5:
+        if found.mass < Fraction(1, 2):
             raise CertificateError(
-                f"fiber stage mass {found.mass} below 1/2 over component "
-                f"{sorted(comp)}",
-                witness="fiber",
-            )
-        for s in found.family.sets:
-            pieces.append(frozenset(old_of_new[q] for q in s))
+                f"fiber stage mass {found.mass} below 1/2 over component {sorted(comp)}", witness="fiber")
+        pieces += (frozenset(old_of_new[q] for q in s) for s in found.family.sets)
     omega = frozenset().union(*pieces)
     mass = mu.mass(omega)
     fam = FamilyOfSets(f.domain, components(f.domain, omega, R_X, strict=True))
-    out = MassFamily(
-        fam,
-        R_X,
-        S,
-        mass,
-        flags={"equality": math.isclose(mass, 0.25, rel_tol=0, abs_tol=1e-12)},
-    )
-    out.verify(mu, floor=0.25)
+    out = MassFamily(fam, R_X, S, mass, flags={"equality": mass == Fraction(1, 4)})
+    out.verify(mu, floor=Fraction(1, 4))
     return out
 
 

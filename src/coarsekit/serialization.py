@@ -20,6 +20,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .controls import LinearControl, StepFunction
+from .errors import json_number
 from .metric_core import FiniteMetricSpace, build_space
 
 if TYPE_CHECKING:
@@ -130,7 +131,7 @@ def tree_from_json(obj: dict, space: FiniteMetricSpace) -> DecompositionTree:
             tuple(tuple(tuple(sub) for sub in subfams) for subfams in table)
             for table in obj["splits"]
         ),
-        terminal_mesh=float(obj["terminal_mesh"]),
+        terminal_mesh=json_number(obj["terminal_mesh"], "terminal mesh"),
         union_mode=obj.get("union_mode", "equal"),
     )
 
@@ -158,8 +159,8 @@ def dim_sequence_from_json(obj: dict, space: FiniteMetricSpace) -> DimSequenceWi
 
     return DimSequenceWitness(
         space,
-        tuple(float(v) for v in obj["scales"]),
-        tuple(int(v) for v in obj["dims"]),
+        tuple(json_number(v, "scales") for v in obj["scales"]),
+        tuple(obj["dims"]),
         tuple(family_from_json(f, space) for f in obj["families"]),
     )
 
@@ -169,7 +170,7 @@ def mass_family_to_json(m: MassFamily) -> dict:
         "family": family_to_json(m.family),
         "R": m.R,
         "S": _num(m.S),
-        "mass": m.mass,
+        "mass": float(m.mass),
         "exact": m.exact,
         "flags": _plain(m.flags),
     }

@@ -9,6 +9,7 @@ oracle-agreement.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 from typing import Callable
 
@@ -356,7 +357,7 @@ def suite_msp(seed: int, count: int = 50) -> dict:
             if cov is not None:
                 colored, _ = make_disjoint(cov, R)
                 mf = asdim_to_msp(colored, R / colored.n_colors, muX)
-                if mf.mass < 1.0 / colored.n_colors - 1e-12:
+                if mf.mass < Fraction(1, colored.n_colors):
                     failures.append({"instance": i, "stage": "asdim_to_msp"})
             # constant 2: pushforward with S = E(B) + n*R
             sel = tuple(min(f.fiber(y)) for y in range(Y.n))
@@ -366,14 +367,14 @@ def suite_msp(seed: int, count: int = 50) -> dict:
                 failures.append({"instance": i, "stage": "no-witness"})
             else:
                 out = msp_pushforward(f, n, muY, R, witness, lam)
-                if out.mass < 1.0 / (2 * n) - 1e-12:
+                if out.mass < Fraction(1, 2 * n):
                     failures.append({"instance": i, "stage": "push-mass"})
                 if out.S > E(witness.S) + n * R:
                     failures.append({"instance": i, "stage": "push-bound",
                                      "route": out.flags.get("route")})
             # constant 3: pullback mass >= 0.25
             pb = msp_pullback(f, muX, R, K=Y.diam(), S=X.diam())
-            if pb.mass < 0.25 - 1e-12:
+            if pb.mass < Fraction(1, 4):
                 failures.append({"instance": i, "stage": "pull-mass"})
         except (CertificateError, PreconditionError) as e:
             failures.append({"instance": i, "error": str(e)})
@@ -395,7 +396,7 @@ def suite_oracle_agreement(seed: int, count: int = 40) -> dict:
         greedy = best_mass_family(sp, mu, R, S, exact_cap=0)
         if greedy.exact or "lower_bound" not in greedy.flags:
             failures.append({"instance": i, "stage": "mass-flag"})
-        if greedy.mass > exact.mass + 1e-12:
+        if greedy.mass > exact.mass:
             failures.append({"instance": i, "stage": "mass-dominance"})
         cap = float(rng.randint(2, 8))
         ex = asdim_at_scale(sp, R, cap)

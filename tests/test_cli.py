@@ -193,6 +193,18 @@ class TestNaNIsUsageError:
         assert code == 2 and report is None
         assert err.startswith("error:") and "scales must not be NaN" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("dims", [1.7]), ("dims", ["1"]), ("dims", [True]), ("scales", [True]), ("scales", ["2"])],
+        ids=["float-dim", "string-dim", "bool-dim", "bool-scale", "string-scale"])
+    def test_malformed_dim_sequence_is_usage_error(self, capsys, tmp_path, fold5, field, value):
+        _, cod, _ = fold5
+        witness = {"scales": [2.0], "dims": [0], "families": [{"sets": [list(range(6))]}]}
+        w = write(tmp_path, "w.json", {**witness, field: value})
+        code, report, err = run(capsys, ["apc", "normalize", "--space", cod, "--gaps", "1",
+                                         "--witness", w])
+        assert code == 2 and report is None
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("weight", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_weight_in_measure_file(self, capsys, tmp_path, path16, weight):
         mu = write(tmp_path, "mu.json", {"weights": [1] * 15 + [weight]})
@@ -300,8 +312,11 @@ class TestMapCommands:
         "control", ['{"type": "linear"}', '{"type": "step", "breakpoints": [[0, "x"]]}',
                     '{"type": "linear", "a": NaN}', '{"type": "linear", "a": 1, "b": Infinity}',
                     '{"type": "step", "breakpoints": [[NaN, 1]]}',
-                    '{"type": "step", "breakpoints": [[0, 1], [2, NaN]]}'],
-        ids=["missing-field", "bad-value", "nan-a", "inf-b", "nan-radius", "nan-value"],
+                    '{"type": "step", "breakpoints": [[0, 1], [2, NaN]]}',
+                    '{"type": "step", "breakpoints": [[0, true]]}',
+                    '{"type": "step", "breakpoints": [[0, "1.5"]]}'],
+        ids=["missing-field", "bad-value", "nan-a", "inf-b", "nan-radius", "nan-value",
+             "bool-value", "string-value"],
     )
     def test_malformed_control_is_usage_error(self, capsys, tmp_path, fold5, control):
         dom, cod, f = fold5
@@ -389,10 +404,12 @@ class TestTreeCommands:
         ("scales", ["2.0"]), ("scales", [None]), ("scales", [True]),
         ("branching", [2.5]), ("splits", [[[[0, 1.0], [2]]]]),
         ("scales", [math.nan]), ("scales", [math.inf]), ("terminal_mesh", math.nan),
+        ("terminal_mesh", True), ("terminal_mesh", " 3 "), ("terminal_mesh", 10 ** 400),
         ("levels", [{"sets": [list(range(15)) + [15.0]]},
                     {"sets": [list(range(0, 7)), list(range(9, 16)), [7, 8]]}])],
         ids=["string-scale", "null-scale", "bool-scale", "float-branching", "float-index",
-             "nan-scale", "inf-scale", "nan-terminal-mesh", "float-member"])
+             "nan-scale", "inf-scale", "nan-terminal-mesh", "bool-terminal-mesh",
+             "string-terminal-mesh", "huge-terminal-mesh", "float-member"])
     def test_malformed_tree_is_usage_error(self, capsys, tmp_path, path16, command, field, value):
         t = write(tmp_path, "t.json", {**self.tree_obj(2.0), field: value})
         code, report, err = run(
@@ -401,6 +418,12 @@ class TestTreeCommands:
         assert code == 2
         assert report is None
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_infinite_terminal_mesh_as_reports_write_it(self, capsys, tmp_path, path16):
+        t = write(tmp_path, "t.json", {**self.tree_obj(2.0), "terminal_mesh": "inf"})
+        code, report, _ = run(capsys, ["tree", "convert", "--space", path16, "--tree", t])
+        assert code == 0
+        assert report["result"]["tree"]["terminal_mesh"] == "inf"
 
 
 class TestMspCommands:

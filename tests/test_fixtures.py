@@ -57,7 +57,7 @@ DIGESTS = {
     "random_space": "fa27e05dff9258e9418689f9cca8c4acc6d126c8fbc1d1b26a9374dab0edeaeb",
     "random_casdim_tree": "58a5910d0f599e82d55bb6b6e90fe00bd4db300c0ec709f99448bd6fc90aae57",
     "random_quotient_map": "835552f710a38340cfdf3f388a50d3fa9480944e5832165888dedefa1952006a",
-    "random_measure": "26517be0aba8920f898229ec26ddefd502bcd477384c6e648c45b639ad88183d",
+    "random_measure": "3a82de4f79dbbb2421ebd9b1443d41d0e38b502886bfd019c07622b48b891f8d",
 }
 
 

@@ -175,6 +175,12 @@ class TestBuildSpace:
         sp = build_space({"kind": "graph", "edges": [[0, 1, 2], [1, 2, 3], [2, 3, 1], [3, 0, 7]]})
         assert sp.dmat.tolist() == [[0, 2, 5, 6], [2, 0, 3, 4], [5, 3, 0, 1], [6, 4, 1, 0]]
 
+    def test_space_built_from_a_view_is_not_written_through_its_base(self):
+        base = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+        sp = FiniteMetricSpace(range(4), base[:, :])
+        base[0, 2] = base[2, 0] = 50.0
+        assert sp.d(0, 2) == 2.0
+
 
 class TestPointIndices:
     # a negative index once read the table from its end, and a float failed

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coarsekit
@@ -87,6 +88,9 @@ class TestProbMeasure:
         assert mu.renormalized
         assert mu.weights == (0.25, 0.25, 0.25, 0.25)
         assert math.isclose(sum(mu.weights), 1.0)
+        # in lowest terms the units are 1 of 1 and 1 + 1 of 2, yet the weights sum to 3/4
+        for weights in [(0.75,), (0.375, 0.375)]:
+            assert ProbMeasure(path_space(len(weights)), weights).renormalized
 
     def test_exact_probability_kept(self):
         sp = path_space(2)
@@ -109,19 +113,42 @@ class TestProbMeasure:
         with pytest.raises(InputError, match="finite"):
             ProbMeasure(path_space(3), (1.0, weight, 1.0))
 
+    @pytest.mark.parametrize("weight", [True, False, np.bool_(True), "1"])
+    def test_non_number_weight_rejected(self, weight):
+        with pytest.raises(InputError, match="number"):
+            ProbMeasure(path_space(3), (1, weight, 1))
+
+    def test_units_are_exact_for_every_number_type(self):
+        sp = path_space(3)
+        kinds = [
+            (1, 3, 4),
+            (0.125, 0.375, 0.5),
+            (fractions.Fraction(1, 8), fractions.Fraction(3, 8), fractions.Fraction(1, 2)),
+            (np.int64(2), np.int64(6), np.int64(8)),
+            (np.float64(0.25), np.float64(0.75), np.float64(1.0)),
+        ]
+        for weights in kinds:
+            mu = ProbMeasure(sp, weights)
+            assert (mu.units, mu.total, mu.weights) == ((1, 3, 4), 8, (0.125, 0.375, 0.5))
+            assert mu.mass({1, 2}) == fractions.Fraction(7, 8)
+        # a float's exact binary value, not its decimal repr: 0.1 + 0.2 != 0.3
+        mu = ProbMeasure(sp, (0.1, 0.2, 0.7))
+        assert mu.renormalized
+        assert mu.mass({0, 1, 2}) == 1
+
 
 class TestBestMassFamily:
     def test_uniform_path_example(self):
         sp = path_space(10)
         out = best_mass_family(sp, uniform(sp), 2.0, 3.0)
         assert out.exact
-        assert math.isclose(out.mass, 0.8)
+        assert out.mass == fractions.Fraction(4, 5)
         assert len(out.family.union()) == 8
 
     def test_whole_space_when_unconstrained(self):
         sp = path_space(8)
         out = best_mass_family(sp, uniform(sp), 0.0, float(sp.diam()))
-        assert math.isclose(out.mass, 1.0)
+        assert out.mass == 1
 
     def test_concentrated_measure_takes_heavy_point(self):
         sp = path_space(10)
@@ -130,18 +157,31 @@ class TestBestMassFamily:
         mu = ProbMeasure(sp, tuple(w))
         out = best_mass_family(sp, mu, 3.0, 0.0)
         # both heavy points fit: they are 9 >= 3 apart, singletons are 0-bounded
-        assert math.isclose(out.mass, 1.0)
+        assert out.mass == 1
 
-    def test_ties_summed_over_frozensets(self):
-        # {0, 6, 7, 9} carries the same weight; summed in index order it would
-        # round above {0, 2, 6, 9} and be chosen instead
+    def test_exact_tie_goes_to_least_mask(self):
+        # {0, 6, 7, 9} weighs exactly as much as {0, 2, 6, 9} (23/47); summed
+        # as floats in index order it would round above it
         sp = build_space({"kind": "cloud", "norm": "l1", "coords": [
             (0, 1), (0, 3), (0, 4), (1, 0), (1, 2), (1, 3), (2, 0), (2, 4), (4, 2), (4, 3)]})
         mu = ProbMeasure(sp, (6, 3, 8, 3, 3, 6, 1, 8, 1, 8))
+        assert mu.mass({0, 6, 7, 9}) == mu.mass({0, 2, 6, 9}) == fractions.Fraction(23, 47)
         out = best_mass_family(sp, mu, 3, 0)
         assert out.exact
         assert out.family.sets == (frozenset({0}), frozenset({2}), frozenset({6}), frozenset({9}))
-        assert out.mass == 0.48936170212765956
+        assert out.mass == fractions.Fraction(23, 47)
+
+    def test_exact_half_is_no_half_mass_witness(self):
+        # the points 0, 1, 2, 3 weigh exactly 1/2 (their float sum reads
+        # 0.5000000000000001), so no family at S = 3 has mass > 1/2; the first
+        # one is the points 3 and 7 (indices 3, 4) at S = 4
+        sp = build_space({"kind": "cloud", "norm": "l1", "coords": [[0], [1], [2], [3], [7]]})
+        mu = ProbMeasure(sp, (2, 5, 3, 3, 13))
+        out = half_mass_witness(sp, mu, 10)
+        assert out.S == 4
+        assert out.family.sets == (frozenset({3, 4}),)
+        assert out.mass == fractions.Fraction(8, 13)
+        assert mu.mass({0, 1, 2, 3}) == fractions.Fraction(1, 2)
 
     @pytest.mark.parametrize("space", [grid_space(4, 4), path_space(16)], ids=["grid4x4", "path16"])
     def test_whole_support_at_the_cap(self, space):
@@ -156,7 +196,7 @@ class TestBestMassFamily:
         assert not out.exact
         assert out.flags.get("lower_bound")
         exact = best_mass_family(sp, uniform(sp), 2.0, 3.0, exact_cap=14)
-        assert out.mass <= exact.mass + 1e-12
+        assert out.mass <= exact.mass
 
     def test_verify_catches_tampered_mass(self):
         sp = path_space(10)
@@ -174,16 +214,16 @@ class TestBestMassFamily:
             "for n, cap in ((20, 16), (10, 0), (10, 16)):\n"
             "    sp = path_space(n)\n"
             "    out = best_mass_family(sp, ProbMeasure(sp, (1.0,) * n), 0.0, 1.0, exact_cap=cap)\n"
-            "    print(out.exact, repr(out.mass))\n"
+            "    print(out.exact, out.mass)\n"
         )
         src = Path(coarsekit.__file__).parent.parent
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
         rows = [line.split() for line in out.stdout.splitlines()]
         assert [exact for exact, _ in rows] == ["False", "False", "True"]
-        greedy20, greedy10, exact10 = (float(m) for _, m in rows)
-        assert math.isclose(greedy20, 1.0, abs_tol=1e-12)
-        assert math.isclose(greedy10, exact10, rel_tol=0, abs_tol=1e-12)
+        greedy20, greedy10, exact10 = (fractions.Fraction(m) for _, m in rows)
+        assert greedy20 == 1
+        assert greedy10 == exact10
 
 
 class TestAsdimToMsp:
@@ -193,7 +233,7 @@ class TestAsdimToMsp:
         colored, _ = make_disjoint(cover, 2.0, 2)
         mu = uniform(sp)
         out = asdim_to_msp(colored, 2.0 / 3, mu)
-        assert out.mass >= 1.0 / 3 - 1e-12
+        assert out.mass >= fractions.Fraction(1, 3)
         assert out.flags["n_colors"] == 3
 
     def test_uncolored_cover_rejected(self):
@@ -215,7 +255,7 @@ class TestMeasureTransfer:
         # select +y, which sits at domain index y + 5
         lam = transfer_measure_selection(f, mu, tuple(y + 5 for y in range(6)))
         for y in range(6):
-            assert math.isclose(lam.weights[y + 5], mu.weights[y])
+            assert lam.units[y + 5] == mu.units[y]
         assert all(v == 0.0 for v in lam.weights[:5])
 
     def test_quotient_orbit_minima(self):
@@ -247,7 +287,7 @@ class TestMspPushforward:
         mu = uniform(sp)
         witness = best_mass_family(sp, mu, 1.0, 2.0)
         out = msp_pushforward(identity_map(sp), 1, mu, 1.0, witness, mu)
-        assert math.isclose(out.mass, witness.mass)
+        assert out.mass == witness.mass
         assert out.flags["route"] == "coloring"
         assert out.S == control_upper(identity_map(sp))(witness.S) + 1.0
 
@@ -259,7 +299,7 @@ class TestMspPushforward:
         witness = best_mass_family(f.domain, lam, D(2 * 1.0), 4.0)
         assert witness.mass > 0.5
         out = msp_pushforward(f, 2, mu, 1.0, witness, lam)
-        assert out.mass >= 0.25 - 1e-12
+        assert out.mass >= fractions.Fraction(1, 4)
         E = control_upper(f)
         assert out.S <= E(witness.S) + 2 * 2 * 1.0
         out.verify(mu)
@@ -279,7 +319,7 @@ class TestMspPullback:
         f = fold_map(9)
         mu = uniform(f.domain)
         out = msp_pullback(f, mu, 1.0, K=float(f.codomain.diam()), S=float(f.domain.diam()))
-        assert out.mass >= 0.25 - 1e-12
+        assert out.mass >= fractions.Fraction(1, 4)
         out.verify(mu)
 
     def test_small_RY_rejected(self):
@@ -305,7 +345,7 @@ class TestMspPullback:
         mu = uniform(f.domain)
         S = share * f.domain.diam()
         out = msp_pullback(f, mu, 3.0, K=float(f.codomain.diam()), S=S)
-        assert out.mass >= 0.25 - 1e-12
+        assert out.mass >= fractions.Fraction(1, 4)
         assert out.family.max_diameter() <= S
         out.verify(mu)
 
@@ -325,7 +365,7 @@ class TestMspPullback:
         sp = path_space(8)
         mu = uniform(sp)
         out = msp_pullback(identity_map(sp), mu, 1.0, K=float(sp.diam()), S=float(sp.diam()))
-        assert math.isclose(out.mass, 1.0)
+        assert out.mass == 1
 
     def test_pieces_exactly_R_apart_stay_separate(self):
         # {0,1}, {3,4}, {6,7} are 2 apart, so R_X-disjoint at R_X = 2, and 1-bounded
@@ -333,7 +373,7 @@ class TestMspPullback:
         mu = uniform(sp)
         out = msp_pullback(identity_map(sp), mu, 2.0, K=7.0, S=1.0)
         assert out.family.sets == (frozenset({0, 1}), frozenset({3, 4}), frozenset({6, 7}))
-        assert math.isclose(out.mass, 0.75)
+        assert out.mass == fractions.Fraction(3, 4)
 
 
 class TestHalfMassWitness:
@@ -341,7 +381,7 @@ class TestHalfMassWitness:
         sp = path_space(8)
         w = half_mass_witness(sp, uniform(sp), 2.0)
         assert w.S == 1.0
-        assert math.isclose(w.mass, 0.75)
+        assert w.mass == fractions.Fraction(3, 4)
 
     def test_none_without_positive_distances(self):
         sp = path_space(1)

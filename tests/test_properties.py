@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -408,9 +409,9 @@ def _greedy_mass_reference(space, mu, R, S):
     """The greedy branch of ``best_mass_family`` with its own excision loop."""
     candidates, _ = maximal_r_bounded_sets(space, S)
     remaining = set(range(space.n))
-    chosen, total = [], 0.0
+    chosen, total = [], Fraction(0)
     while True:
-        best_set, best_m = None, 0.0
+        best_set, best_m = None, Fraction(0)
         for c in candidates:
             cc = frozenset(c) & frozenset(remaining)
             if not cc:
@@ -418,7 +419,7 @@ def _greedy_mass_reference(space, mu, R, S):
             m = mu.mass(cc)
             if m > best_m:
                 best_set, best_m = cc, m
-        if best_set is None or best_m <= 0.0:
+        if best_set is None or best_m <= 0:
             break
         chosen.append(best_set)
         total += best_m
@@ -440,28 +441,30 @@ def test_greedy_mass_excision_matches_distance_loop(sp, R, S, data):
 
 def _max_mass_reference(space, mu, R, S):
     """The enumeration the branch and bound replaced: the least feasible mask
-    over the support with the greatest float mass."""
-    best_mask, best = 0, -1.0
+    over the support with the greatest exact mass, and that mass."""
+    best_mask, best = 0, Fraction(-1)
     for mask in _feasible_masks(bounded_components(space, R, S), mu.support()):
-        m = mu.mass(frozenset(bits(mask)))
+        m = mu.mass(bits(mask))
         if m > best:
             best_mask, best = mask, m
     return best_mask, best
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_spaces(), scales, scales, st.sampled_from(["random", "zeros", "uniform"]), st.data())
+@given(small_spaces(), scales, scales, st.sampled_from(["random", "zeros", "uniform", "tenths"]),
+       st.data())
 def test_max_mass_search_matches_enumeration(sp, R, S, kind, data):
     if kind == "uniform":
-        weights = [1] * sp.n  # every tie in mass is a tie in float
+        weights = [1] * sp.n  # many exact ties in mass
     else:
         low = 0 if kind == "zeros" else 1
         weights = data.draw(st.lists(st.integers(low, 8), min_size=sp.n, max_size=sp.n).filter(any))
-    mu = ProbMeasure(sp, tuple(float(w) for w in weights))
-    got = _max_mass_mask(bounded_components(sp, R, S), mu, mu.support())
-    assert got == _max_mass_reference(sp, mu, R, S)
+    # tenths are not binary fractions: their float sums round, their units do not
+    mu = ProbMeasure(sp, tuple(w / 10 if kind == "tenths" else float(w) for w in weights))
+    mask, units = _max_mass_mask(bounded_components(sp, R, S), mu, mu.support())
+    assert (mask, Fraction(units, mu.total)) == _max_mass_reference(sp, mu, R, S)
     out = best_mass_family(sp, mu, R, S)
-    assert out.family.union() == frozenset(bits(got[0])) and out.mass == got[1]
+    assert out.family.union() == frozenset(bits(mask)) and out.mass == Fraction(units, mu.total)
 
 
 def test_point_masks_rows_and_width():

@@ -17,6 +17,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -265,15 +266,18 @@ def test_mass_floors_of_the_three_constructions():
     colored, _ = make_disjoint(U, 2.0)
     mu = uniform(sp)
     out = asdim_to_msp(colored, 2.0 / 3, mu)
-    out.verify(mu, floor=1 / 3)
+    out.verify(mu, floor=Fraction(1, 3))
     light = min(range(colored.n_colors), key=lambda c: mu.mass(colored.color_class(c).union()))
     cls = colored.color_class(light)
-    rejects(lambda: MassFamily(cls, 2.0 / 3, out.S, mu.mass(cls.union())).verify(mu, floor=1 / 3))
+    rejects(lambda: MassFamily(cls, 2.0 / 3, out.S, mu.mass(cls.union())).verify(mu, floor=Fraction(1, 3)))
     f = fold_map(4)
     pull = msp_pullback(f, uniform(f.domain), 2.0, K=1.0, S=1.0)
-    pull.verify(uniform(f.domain), floor=0.25)
-    one = MassFamily(fam(f.domain, {0}), 2.0, 1.0, 1 / 9)
-    rejects(lambda: one.verify(uniform(f.domain), floor=0.25), "below the guaranteed")
+    pull.verify(uniform(f.domain), floor=Fraction(1, 4))
+    one = MassFamily(fam(f.domain, {0}), 2.0, 1.0, Fraction(1, 9))
+    rejects(lambda: one.verify(uniform(f.domain), floor=Fraction(1, 4)), "below the guaranteed")
+    # a float mass is never equal to an exact one it only rounds to
+    rounded = MassFamily(fam(f.domain, {0}), 2.0, 1.0, 1 / 9)
+    rejects(lambda: rounded.verify(uniform(f.domain)), "mass mismatch")
 
 
 def test_msp_pullback_stage_masses():
