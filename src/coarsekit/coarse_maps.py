@@ -19,6 +19,7 @@ from .metric_core import (
     _block,
     _check_points,
     bits,
+    components,
     diameter,
     point_masks,
     r_components,
@@ -197,9 +198,9 @@ def n_to_1_profile(f: CoarseMap, r: float, R: float) -> NTo1Profile:
     blocks, exact = _fiber_blocks(f, r)
     worst_count, worst_diam, witness = 0, 0.0, None
     for B, pre in blocks:
-        comps = r_components(Subset(f.domain, pre), R)
+        comps = components(f.domain, pre, R, strict=False)
         count = len(comps)
-        dmax = max(diameter(c) for c in comps)
+        dmax = max(float(_block(f.domain.dmat, list(c)).max()) for c in comps)
         if count > worst_count or (count == worst_count and dmax > worst_diam):
             worst_count, worst_diam, witness = count, dmax, B
     return NTo1Profile(worst_count, worst_diam, witness, exact)
@@ -368,14 +369,20 @@ def _component_relaxation(space: FiniteMetricSpace, members: frozenset, n: int) 
 def verify_n_to_1(f: CoarseMap, n: int, C, r: float):
     """Check that every maximal r-bounded B splits into <= n parts of diam <= C(r).
 
-    Each fiber block is judged by its partition value, an upper bound above
-    EXACT_PARTITION_CAP points, and a ball above CLIQUE_ENUM_CAP stands whole
-    for its sets: the check never accepts falsely, and above the caps it may
-    reject a valid control.  Returns (ok, witness), the witness (B, value).
+    With 1 < n < |f^-1(B)| <= EXACT_PARTITION_CAP a block passes when its
+    conflict graph {d > C(r)} is n-colourable, which holds exactly when its
+    partition value is <= C(r); any other block is judged by its partition
+    value, an upper bound above the partition cap.  A ball above
+    CLIQUE_ENUM_CAP stands whole for its sets: the check never accepts
+    falsely, and above the caps it may reject a valid control.  Returns
+    (ok, witness), the witness (B, partition value).
     """
     cr = as_control(C)(check_number(r, "r"))
     blocks, _ = _fiber_blocks(f, r)
     for B, pre in blocks:
+        if 1 < n < len(pre) <= EXACT_PARTITION_CAP:
+            if graph_coloring(_block(f.domain.dmat, sorted(pre)) > cr, n) is not None:
+                continue
         val, _ = _partition_value(f.domain, pre, n)
         if val > cr:
             return False, (B, val)

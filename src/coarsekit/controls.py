@@ -11,6 +11,7 @@ bound of this control feeds a neighborhood or dimension computation.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 from .errors import InputError, check_number, json_number
@@ -78,6 +79,8 @@ class LinearControl:
     def __call__(self, r: float) -> float:
         if check_number(r, "r") < 0:
             raise InputError("control functions are defined for r >= 0 only")
+        if self.a == 0 and r == math.inf:
+            r = 0.0  # a constant control is b at r = inf too, not 0 * inf = nan
         return self.a * r + self.b
 
     def expansion_closed(self) -> bool:

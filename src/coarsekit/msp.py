@@ -185,7 +185,7 @@ def best_mass_family(
     while True:
         best_set, best_m = None, 0
         for c in candidates:
-            cc = frozenset(c) & frozenset(remaining)
+            cc = c & remaining
             m = sum(mu.units[i] for i in cc)
             if m > best_m:
                 best_set, best_m = cc, m

@@ -18,7 +18,7 @@ from .controls import as_control
 from .coarse_maps import CoarseMap, control_upper
 from .covers import FamilyOfSets, check_families, is_r_disjoint, split_on_carrier
 from .errors import CertificateError, InputError, PreconditionError, check_number, is_int
-from .metric_core import FiniteMetricSpace, Subset, neighborhood, r_components
+from .metric_core import FiniteMetricSpace, Subset, _block, neighborhood, r_components
 
 __all__ = [
     "DecompositionTree",
@@ -118,16 +118,20 @@ def verify_tree(t: DecompositionTree, mode: str) -> TreeReport:
             violations.append((i, None, "branching_exceeds_2", n_i))
         lvl = t.levels[i - 1]
         nxt = t.levels[i]
+        # one closeness matrix per level; only a subfamily with a close pair,
+        # or naming a set twice (the diagonal is False), gets a witness family
+        close = nxt.closer_than(R)
         for k, s in enumerate(lvl.sets):
             subfams = t.children_of(i, k)
             if len(subfams) > n_i:
                 violations.append((i, k, "too_many_subfamilies", len(subfams)))
             union = frozenset()
             for sub in subfams:
-                fam = FamilyOfSets(t.space, tuple(nxt.sets[j] for j in sub))
-                ok, wit = is_r_disjoint(fam, R)
-                if not ok:
-                    violations.append((i, k, "subfamily_not_disjoint", wit))
+                if len(set(sub)) < len(sub) or _block(close, sub).any():
+                    fam = FamilyOfSets(t.space, tuple(nxt.sets[j] for j in sub))
+                    ok, wit = is_r_disjoint(fam, R)
+                    if not ok:
+                        violations.append((i, k, "subfamily_not_disjoint", wit))
                 for j in sub:
                     union |= nxt.sets[j]
             if t.union_mode == "equal":

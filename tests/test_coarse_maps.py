@@ -33,7 +33,12 @@ from coarsekit import (
     symmetrize_metric,
     verify_n_to_1,
 )
-from coarsekit.coarse_maps import _hausdorff_quotient
+from coarsekit.coarse_maps import (
+    EXACT_PARTITION_CAP,
+    _fiber_blocks,
+    _hausdorff_quotient,
+    graph_coloring,
+)
 from coarsekit.generators import (
     cycle_space,
     fold_map,
@@ -191,6 +196,27 @@ class TestNTo1Control:
         assert ok
         ok, wit = verify_n_to_1(f, 1, LinearControl(1.0), 0.0)
         assert not ok and wit is not None
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_verify_colours_each_block_once(self, n):
+        # an accepting call colours each block with 1 < n < |preimage| <= the
+        # cap once, at C(r); a rejecting call reports the partition value
+        f = fold_map(5)
+        blocks, _ = _fiber_blocks(f, 2.0)
+        coloured = sum(1 < n < len(pre) <= EXACT_PARTITION_CAP for _, pre in blocks)
+        with mock.patch("coarsekit.coarse_maps.graph_coloring", wraps=graph_coloring) as spy:
+            assert verify_n_to_1(f, n, LinearControl(1.0), 2.0) == (True, None)
+        assert coloured == len(blocks) and spy.call_count == coloured
+        ok, (B, val) = verify_n_to_1(f, n, LinearControl(0.5), 2.0)
+        assert not ok and val == min_max_diameter_partition(f.domain, f.preimage(B), n)[0]
+
+    def test_verify_with_a_constant_control_at_infinite_r(self):
+        # C = 0 * r + 1 is 1 at r = inf, not 0 * inf = nan, which every
+        # preimage value once passed
+        f = fold_map(4)
+        assert verify_n_to_1(f, 1, LinearControl(0.0, 1.0), math.inf) == (
+            False, (frozenset({0, 1, 2, 3, 4}), 8.0))
+        assert verify_n_to_1(f, 2, LinearControl(0.0, 4.0), math.inf) == (True, None)
 
     def test_verify_rejects_wide_component_above_cap(self):
         # 40 preimage points (above the exact cap) form one C(1)-component of diameter 39

@@ -41,3 +41,12 @@ def test_report_encodes_infinite_step_values_nested_in_a_witness():
         "inclusive": True,
         "flags": {"a": [2], "b": 1},
     }]
+
+
+def test_constant_linear_control_is_its_constant_at_infinity():
+    # 0 * inf is nan; finite r keep a * r + b
+    assert LinearControl(0.0, 1.0)(math.inf) == 1.0
+    assert LinearControl(2.0, 1.0)(math.inf) == math.inf
+    for a, b, r in [(0.0, 1.0, 3.0), (0.0, -0.0, 1.0), (-0.0, 2.0, 0.0), (0, 1, 2), (1.5, 0.5, 2)]:
+        got, ref = LinearControl(a, b)(r), a * r + b
+        assert (got, type(got), math.copysign(1, got)) == (ref, type(ref), math.copysign(1, ref))

@@ -21,6 +21,7 @@ from coarsekit import (
     FamilyOfSets,
     FiniteMetricSpace,
     InputError,
+    LinearControl,
     MetricError,
     PreconditionError,
     ProbMeasure,
@@ -39,24 +40,39 @@ from coarsekit import (
     make_disjoint,
     maximal_r_bounded_sets,
     mesh,
+    n_to_1_profile,
     neighborhood,
     partition_refine,
     r_components,
+    verify_n_to_1,
     verify_tree,
 )
 from coarsekit.coarse_maps import (
     CLIQUE_ENUM_CAP,
+    EXACT_PARTITION_CAP,
+    NTo1Profile,
     _component_relaxation,
+    _fiber_blocks,
     _hausdorff_quotient,
     _maximal_cliques,
+    _partition_value,
     graph_coloring,
     min_max_diameter_partition,
 )
 from coarsekit.covers import split_on_carrier
 from coarsekit.dimension import _dfs_apc, _exact_partition_search, _greedy_apc, _greedy_partition
-from coarsekit.generators import cycle_space, grid_space, random_cover, random_space
+from coarsekit.generators import (
+    cycle_space,
+    fold_map,
+    grid_space,
+    random_casdim_tree,
+    random_cover,
+    random_quotient_map,
+    random_space,
+)
 from coarsekit import metric_core
 from coarsekit.metric_core import (
+    _block,
     _dist_outside,
     _exact_table,
     bits,
@@ -66,7 +82,7 @@ from coarsekit.metric_core import (
 )
 from coarsekit.msp import _feasible_masks, _game_value, _max_mass_mask, _maximal_feasible_sets
 from coarsekit.serialization import tree_to_json
-from coarsekit.trees import _require_valid
+from coarsekit.trees import TreeReport, _require_valid
 
 
 @st.composite
@@ -1361,3 +1377,141 @@ def test_is_partition_tree_matches_union_reference_on_trees(t):
     except PreconditionError:
         return
     assert is_partition_tree(refined) and _is_partition_tree_reference(refined)
+
+
+# ---------------------------------------------------------------------------
+# The n-to-1 and tree re-checks against the routes they replaced.
+
+
+@st.composite
+def fiber_maps(draw):
+    """A fold map on -m..m (m <= 9) or the quotient projection of a fixture
+    action on at most 24 points, with a realized codomain scale r: at the
+    larger r some preimages exceed the exact partition cap."""
+    if draw(st.booleans()):
+        f = fold_map(draw(st.integers(1, 9)))
+    else:
+        f, _ = random_quotient_map(random.Random(draw(st.integers(0, 2**16))), 24)
+    return f, draw(st.sampled_from(f.codomain.realized_distances()))
+
+
+def _ref_verify_n_to_1(f, n, C, r):
+    """Every fiber block judged by its partition value."""
+    cr = C(r)
+    for B, pre in _fiber_blocks(f, r)[0]:
+        val, _ = _partition_value(f.domain, pre, n)
+        if val > cr:
+            return False, (B, val)
+    return True, None
+
+
+@settings(max_examples=120, deadline=None)
+@given(fiber_maps(), st.data())
+def test_verify_n_to_1_matches_partition_value_route(fr, data):
+    f, r = fr
+    _, pre = data.draw(st.sampled_from(_fiber_blocks(f, r)[0]))
+    d = data.draw(st.sampled_from(np.unique(_block(f.domain.dmat, sorted(pre))).tolist()))
+    for n in sorted({1, 2, 3, len(pre)}):
+        # C(r) at a realized preimage distance, at the block's own partition
+        # value (the threshold), and just below each
+        for c in (d, _partition_value(f.domain, pre, n)[0]):
+            for C in (LinearControl(0.0, c), LinearControl(0.0, math.nextafter(c, -math.inf))):
+                assert verify_n_to_1(f, n, C, r) == _ref_verify_n_to_1(f, n, C, r)
+
+
+def test_verify_n_to_1_matches_partition_value_route_above_the_cap():
+    # one 18-point preimage: the relaxation judges it for 1 < n < 18
+    sp = build_space({"kind": "cloud", "coords": [[i] for i in range(17)] + [[18.5]]})
+    f = CoarseMap(sp, build_space({"kind": "cloud", "coords": [[0]]}), (0,) * sp.n)
+    assert len(f.preimage({0})) > EXACT_PARTITION_CAP
+    for n in (1, 2, 3, 18):
+        for c in sp.realized_distances():
+            for C in (LinearControl(0.0, c), LinearControl(0.0, math.nextafter(c, -math.inf))):
+                assert verify_n_to_1(f, n, C, 0.0) == _ref_verify_n_to_1(f, n, C, 0.0)
+
+
+def _ref_n_to_1_profile(f, r, R):
+    """The R-components of each preimage as Subsets, each measured by ``diameter``."""
+    blocks, exact = _fiber_blocks(f, r)
+    worst_count, worst_diam, witness = 0, 0.0, None
+    for B, pre in blocks:
+        comps = r_components(Subset(f.domain, pre), R)
+        count = len(comps)
+        dmax = max(diameter(c) for c in comps)
+        if count > worst_count or (count == worst_count and dmax > worst_diam):
+            worst_count, worst_diam, witness = count, dmax, B
+    return NTo1Profile(worst_count, worst_diam, witness, exact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fiber_maps(), st.data())
+def test_n_to_1_profile_matches_r_components_loop(fr, data):
+    f, r = fr
+    R = data.draw(st.sampled_from(f.domain.realized_distances()))
+    R = data.draw(st.sampled_from([R, R + 0.5, math.nextafter(R, -math.inf)]))
+    assert n_to_1_profile(f, r, R) == _ref_n_to_1_profile(f, r, R)
+
+
+def _ref_verify_tree(t, mode):
+    """verify_tree with a family and an ``is_r_disjoint`` call per subfamily."""
+    violations = []
+    first = t.levels[0]
+    if len(first.sets) != 1 or first.sets[0] != frozenset(range(t.space.n)):
+        violations.append((1, 0, "root_is_whole_space", sorted(first.union())))
+    for i in range(1, t.depth):
+        R = t.scales[i - 1]
+        n_i = t.branching[i - 1]
+        if mode == "sfdc" and n_i > 2:
+            violations.append((i, None, "branching_exceeds_2", n_i))
+        nxt = t.levels[i]
+        for k, s in enumerate(t.levels[i - 1].sets):
+            subfams = t.children_of(i, k)
+            if len(subfams) > n_i:
+                violations.append((i, k, "too_many_subfamilies", len(subfams)))
+            union = frozenset()
+            for sub in subfams:
+                ok, wit = is_r_disjoint(FamilyOfSets(t.space, tuple(nxt.sets[j] for j in sub)), R)
+                if not ok:
+                    violations.append((i, k, "subfamily_not_disjoint", wit))
+                for j in sub:
+                    union |= nxt.sets[j]
+            if t.union_mode == "equal":
+                if union != s:
+                    violations.append((i, k, "union_mismatch", sorted(s ^ union)))
+            elif not s <= union:
+                violations.append((i, k, "union_does_not_contain", sorted(s - union)))
+    bounded = tuple(i + 1 for i, lvl in enumerate(t.levels)
+                    if lvl.max_diameter() <= t.terminal_mesh)
+    if not bounded:
+        violations.append((t.depth, None, "no_bounded_level", t.terminal_mesh))
+    elif mode == "sfdc" and t.depth not in bounded:
+        violations.append((t.depth, None, "final_level_unbounded", t.terminal_mesh))
+    return TreeReport(ok=not violations, violations=tuple(violations), bounded_levels=bounded)
+
+
+def _tampered(t, how):
+    """``t`` as drawn, or with sets of one subfamily put closer than its
+    scale: every scale raised past the space's width ("wide"), each parent's
+    subfamilies merged into one ("merged"), or the first set of each
+    subfamily named twice ("repeated")."""
+    scales, splits = t.scales, t.splits
+    if how == "wide":
+        scales = tuple(float(t.space.n + 1) for _ in scales)
+    elif how == "merged":
+        splits = tuple(tuple((tuple(j for sub in subs for j in sub),) for subs in table)
+                       for table in splits)
+    elif how == "repeated":
+        splits = tuple(tuple(tuple(sub + sub[:1] for sub in subs) for subs in table)
+                       for table in splits)
+    return DecompositionTree(t.space, t.levels, scales, t.branching, splits,
+                             t.terminal_mesh, union_mode=t.union_mode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(decomposition_trees(),
+                 st.integers(0, 2**16).map(lambda s: random_casdim_tree(random.Random(s), 40))),
+       st.sampled_from(["drawn", "wide", "merged", "repeated"]),
+       st.sampled_from(["sfdc", "casdim"]))
+def test_verify_tree_matches_per_subfamily_loop(t, how, mode):
+    t = _tampered(t, how)
+    assert verify_tree(t, mode) == _ref_verify_tree(t, mode)
