@@ -98,6 +98,10 @@ class CoarseMap:
         out = zip(dx[first].tolist(), running[last].tolist())
         return StepFunction(tuple(out), inclusive=True)
 
+    @cached_property
+    def _blocks(self) -> dict:
+        return {}
+
 
 def control_upper(f: CoarseMap) -> StepFunction:
     """Minimal nondecreasing E with d_Y(f(x), f(y)) <= E(d_X(x, y)); attained
@@ -151,9 +155,17 @@ def maximal_r_bounded_sets(space: FiniteMetricSpace, r: float, *, within=None):
 
 
 def _fiber_blocks(f: CoarseMap, r: float, within=None):
-    """The n-to-1 walk: ([(B, f^-1(B)) for each maximal r-bounded B], exact), no empty f^-1(B)."""
-    subsets, exact = maximal_r_bounded_sets(f.codomain, r, within=within)
-    return [(B, pre) for B in subsets if (pre := f.preimage(B))], exact
+    """The n-to-1 walk: (((B, f^-1(B)) for each maximal r-bounded B), exact),
+    no empty f^-1(B).  Computed once per (r, within) and kept on the map, which
+    is frozen; r and within are checked on every call."""
+    check_number(r, "r")
+    if within is not None:
+        within = frozenset(_check_points(f.codomain, tuple(within), "within"))
+    key = (r, within)
+    if key not in f._blocks:
+        subsets, exact = maximal_r_bounded_sets(f.codomain, r, within=within)
+        f._blocks[key] = tuple((B, pre) for B in subsets if (pre := f.preimage(B))), exact
+    return f._blocks[key]
 
 
 def _maximal_cliques(adj):

@@ -267,7 +267,7 @@ def _greedy_apc(n, tests):
     residue = []
     for p in range(n):
         for i, ok in enumerate(tests):
-            if ok(per_family[i] | 1 << p):
+            if ok(per_family[i], p):
                 per_family[i] |= 1 << p
                 assign[p] = i
                 break
@@ -290,10 +290,9 @@ def _dfs_apc(n, tests, budget):
             if nodes["used"] > budget:
                 nodes["exhausted"] = True
                 return False
-            trial = per_family[i] | 1 << p
             # violations are monotone: components only grow as points are added
-            if tests[i](trial):
-                per_family[i] = trial
+            if tests[i](per_family[i], p):
+                per_family[i] |= 1 << p
                 assign[p] = i
                 if dfs(p + 1):
                     return True

@@ -16,11 +16,15 @@ Strictness conventions used across the whole library (fixed globally):
 The exact searches hold point sets as Python-int bitmasks (bit i is point i):
 ``point_masks(rel)`` turns the rows of a boolean relation into masks, ``bits``
 walks a mask's set bits, lowest first, and ``bounded_components(space, R, S)``
-is the mask test "every strict ``R``-component is ``S``-bounded" of the witness
-search (``apc_witness``) and the mass searches (``best_mass_family``,
-``map_msp_check``).  ``components`` and ``bounded_components`` find their
-components with one walk, ``_mask_components(near, mask)``, which grows each
-component from its least point along the ``near`` masks.
+returns the incremental test ``feasible(mask, p)`` of the witness search
+(``apc_witness``) and the mass searches (``best_mass_family``,
+``map_msp_check``).  A mask is feasible when every strict ``R``-component is
+``S``-bounded; the caller guarantees that ``mask`` is feasible and that p is
+not in it, and the test says whether ``mask | 1 << p`` is feasible too.
+``components`` and ``bounded_components`` find their components with one walk,
+``_component_of(near, mask, start)``, which grows one point's component along
+the ``near`` masks; ``_mask_components(near, mask)`` runs it from each least
+point left.
 
 All comparisons are exact comparisons on the stored float values, with no
 epsilon: exact for l1/linf clouds, rational-valued matrices and
@@ -376,39 +380,56 @@ def bits(mask: int):
         mask ^= low
 
 
+def _component_of(near, mask, start):
+    """The chain component of point ``start`` inside ``mask`` (which holds
+    it), as a mask: a step joins i to the points of ``near[i]``."""
+    comp = frontier = 1 << start
+    while frontier:
+        i = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        new = near[i] & mask & ~comp
+        comp |= new
+        frontier |= new
+    return comp
+
+
 def _mask_components(near, mask):
-    """The chain components of ``mask`` as masks, least point first: a step
-    joins i to the points of ``near[i]``."""
+    """The chain components of ``mask`` as masks, least point first."""
     left = mask
     while left:
-        comp = frontier = left & -left
-        while frontier:
-            i = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            new = near[i] & mask & ~comp
-            comp |= new
-            frontier |= new
+        comp = _component_of(near, mask, (left & -left).bit_length() - 1)
         yield comp
         left &= ~comp
 
 
 def bounded_components(space: FiniteMetricSpace, R: float, S: float):
-    """Mask test: every chain component (steps < R) of the point mask has
-    diameter <= S.
+    """Incremental mask test ``feasible(mask, p)``: given a feasible point mask
+    (every chain component at steps < R has diameter <= S) and a point p not
+    in it, whether ``mask | 1 << p`` is feasible too.  The caller guarantees
+    both; the empty mask is feasible.
 
-    Strict steps match the disjointness convention (disjoint = cross distance
-    >= R): the strict components of any feasible union form an R-disjoint
-    family of S-bounded sets.  The exact searches test up to 2^16 masks, so the
-    near (d < R) and far (d > S) relations are bitmasks built once per call.
+    Only p's component of ``mask | 1 << p`` is walked and checked against its
+    own far masks: every other component is a component of the feasible
+    ``mask``.  By downward closure (dropping a point only splits components
+    and shrinks diameters) a set is feasible exactly when it is built point by
+    point through feasible masks.  Strict steps match the disjointness
+    convention (disjoint = cross distance >= R): the strict components of any
+    feasible union form an R-disjoint family of S-bounded sets.  The near
+    (d < R) and far (d > S) relations are bitmasks built once per call.
     """
     near = point_masks(space.dmat < R)
     far = point_masks(~(space.dmat <= S))  # not "> S": a NaN bound bounds nothing
 
-    def feasible(mask):
-        for comp in _mask_components(near, mask):
-            for i in bits(comp):
-                if far[i] & comp:
-                    return False
+    def feasible(mask, p):
+        if not near[p] & mask:  # p alone: d(p, p) = 0 is within S unless S < 0 or NaN
+            return not far[p] >> p & 1
+        comp = _component_of(near, mask | 1 << p, p)
+        rest = comp
+        while rest:  # bits(comp), inlined: the game LP's enumeration makes ~600 tests a block
+            i = (rest & -rest).bit_length() - 1
+            if far[i] & comp:
+                return False
+            rest &= rest - 1
         return True
 
     return feasible

@@ -120,7 +120,7 @@ def _feasible_masks(feasible, points):
     diameters), so only feasible masks need extending."""
     masks = [0]
     for p in sorted(points):
-        masks += [m | 1 << p for m in masks if feasible(m | 1 << p)]
+        masks += [m | 1 << p for m in masks if feasible(m, p)]
     return masks
 
 
@@ -148,7 +148,7 @@ def _max_mass_mask(feasible, mu: ProbMeasure, points):
                 best_mask, best = mask, partial
             return
         p = order[i]
-        if feasible(mask | 1 << p):
+        if feasible(mask, p):
             search(i + 1, mask | 1 << p, partial + w[p])
         search(i + 1, mask, partial)
 
@@ -430,12 +430,17 @@ def map_msp_check(
 
 def _maximal_feasible_sets(space, pts, R, S):
     """Feasible masks over ``pts`` with no feasible one-point extension, in
-    increasing order; by downward closure these are the maximal ones."""
+    increasing order; by downward closure these are the maximal ones.  One
+    pass over a table of all 2^k masks (k <= EXACT_GAME_CAP): a mask is
+    dropped when, for some point i outside it, ``m | 1 << i`` is feasible."""
     sub, _ = space.subspace(pts)
-    feas = _feasible_masks(bounded_components(sub, R, S), range(sub.n))
-    known = set(feas)
-    full = (1 << sub.n) - 1
-    return [m for m in feas if not any((m | 1 << i) in known for i in bits(full & ~m))]
+    feas = np.array(_feasible_masks(bounded_components(sub, R, S), range(sub.n)))
+    known = np.zeros(1 << sub.n, dtype=bool)
+    known[feas] = True
+    extended = np.zeros(len(feas), dtype=bool)
+    for i in range(sub.n):
+        extended |= known[feas | 1 << i] & (feas >> i & 1 == 0)
+    return feas[~extended].tolist()
 
 
 def _game_value(space, pts, R, S):

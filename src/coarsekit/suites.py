@@ -427,8 +427,10 @@ def _apc_brute(sp, scales, cap):
     for assign in product(range(len(scales)), repeat=sp.n):
         masks = [0] * len(scales)
         for p, i in enumerate(assign):
+            if not tests[i](masks[i], p):
+                break
             masks[i] |= 1 << p
-        if all(ok(m) for ok, m in zip(tests, masks)):
+        else:
             return True
     return False
 

@@ -522,3 +522,49 @@ class TestOneControlRule:
                 "asdim-zero": lambda: asdim_zero_witness(f, 2, C, 1.0, 1.0)}[entry]
         with pytest.raises(InputError, match="as a control function"):
             call()
+
+
+class TestFiberBlockCache:
+    # the blocks of one (r, within) are walked once per map and shared by the
+    # n-to-1 operations; the fibers suite once walked each (map, r) three times
+    def test_each_scale_walked_once(self):
+        f = fold_map(5)
+        with mock.patch("coarsekit.coarse_maps.maximal_r_bounded_sets",
+                        wraps=maximal_r_bounded_sets) as spy:
+            first = _fiber_blocks(f, 2.0)
+            n_to_1_profile(f, 2.0, 1.0)
+            n_to_1_profile(f, 2, 3.0)
+            verify_n_to_1(f, 2, LinearControl(1.0), 2.0)
+            n_to_1_control(f, 2)
+        # one walk per realized codomain distance 0..5, 2.0 among them
+        assert spy.call_count == len(f.codomain.realized_distances()) == 6
+        assert _fiber_blocks(f, 2.0) is first
+
+    def test_blocks_match_a_fresh_walk_and_are_tuples(self):
+        f = fold_map(5)
+        for within in (None, {0, 2, 3}, [3, 0, 2]):
+            blocks, exact = _fiber_blocks(f, 1.0, within=within)
+            sets, want_exact = maximal_r_bounded_sets(f.codomain, 1.0, within=within)
+            assert isinstance(blocks, tuple) and all(isinstance(b, tuple) for b in blocks)
+            assert blocks == tuple((B, f.preimage(B)) for B in sets)
+            assert exact == want_exact
+        assert _fiber_blocks(f, 1.0, within={0, 2, 3}) is _fiber_blocks(f, 1.0, within=(3, 2, 0, 3))
+
+    def test_bad_input_raises_on_every_call(self):
+        f = fold_map(5)
+        _fiber_blocks(f, 1.0)
+        _fiber_blocks(f, 1.0, within={0, 1})
+        for _ in range(2):
+            with pytest.raises(InputError, match="r must not be NaN"):
+                _fiber_blocks(f, math.nan)
+            with pytest.raises(InputError, match="^within .* are not points of the owning space$"):
+                _fiber_blocks(f, 1.0, within={0, 1, 9})
+
+    def test_fibers_suite_walks_each_map_and_scale_once(self):
+        from coarsekit.suites import run_suite
+
+        with mock.patch("coarsekit.coarse_maps.maximal_r_bounded_sets",
+                        wraps=maximal_r_bounded_sets) as spy:
+            run_suite("fibers", 11, 10)
+        # 10 maps, 3 sampled scales each, certified at three R per scale
+        assert spy.call_count == 30

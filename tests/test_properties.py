@@ -323,10 +323,48 @@ def test_partition_searches_match_exhaustive_references(sp, n):
 @settings(max_examples=60, deadline=None)
 @given(small_spaces(), scales, scales)
 def test_maximal_feasible_sets_match_pairwise_filter(sp, R, S):
-    feasible = bounded_components(sp, R, S)
-    feas = [m for m in range(1, 1 << sp.n) if feasible(m)]
+    feas = [m for m in range(1 << sp.n) if _component_ok_reference(sp, list(bits(m)), R, S)]
     reference = [m for m in feas if not any(m != o and m & o == m for o in feas)]
     assert _maximal_feasible_sets(sp, list(range(sp.n)), R, S) == reference
+
+
+def _maximal_feasible_sets_reference(space, pts, R, S):
+    """The set-probe filter that the one-pass table replaced: a feasible mask
+    is kept when no one-point extension is in the set of feasible masks."""
+    sub, _ = space.subspace(pts)
+    feas = _feasible_masks(bounded_components(sub, R, S), range(sub.n))
+    known = set(feas)
+    full = (1 << sub.n) - 1
+    return [m for m in feas if not any((m | 1 << i) in known for i in bits(full & ~m))]
+
+
+def _game_size_instances():
+    """Seeded 9-12-point instances, the sizes the game LP solves: point subsets
+    of 12-point random spaces, and the fold preimages of {-8..8} at
+    (R, S, K) = (2, 1, 4) and (3, 2, 4)."""
+    rng = random.Random(25)
+    out = []
+    while len(out) < 16:
+        sp = random_space(rng, 12)
+        if sp.n < 9:
+            continue
+        pts = sorted(rng.sample(range(sp.n), rng.randint(9, sp.n)))
+        R = rng.randint(2, 4)  # every distance is >= 1, so at R <= 1 no two points chain
+        out.append((sp, pts, float(R), float(rng.randint(0, R))))
+    f = fold_map(8)
+    for R, S, K in ((2.0, 1.0, 4.0), (3.0, 2.0, 4.0)):
+        out += [(f.domain, sorted(pre), R, S) for _, pre in _fiber_blocks(f, K)[0]]
+    return out
+
+
+@pytest.mark.parametrize("space, pts, R, S", _game_size_instances())
+def test_maximal_feasible_sets_at_game_size_match_set_probe(space, pts, R, S):
+    assert 9 <= len(pts) <= 12
+    reference = _maximal_feasible_sets_reference(space, pts, R, S)
+    assert _maximal_feasible_sets(space, pts, R, S) == reference
+    with mock.patch("coarsekit.msp._maximal_feasible_sets", _maximal_feasible_sets_reference):
+        want = _game_value(space, pts, R, S)
+    assert _game_value(space, pts, R, S) == want
 
 
 def _two_lp_game_reference(space, pts, R, S):
@@ -367,16 +405,27 @@ def _component_ok_reference(space, pts, R, mesh_cap):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_spaces(), scales, st.floats(min_value=-1.0, max_value=30.0, allow_nan=False),
+@given(small_spaces(), scales,
+       st.one_of(st.floats(min_value=-1.0, max_value=30.0, allow_nan=False), st.just(math.nan)),
        st.data())
 def test_bounded_components_matches_components_and_diameter(sp, R, S, data):
+    """The incremental test against the set-based one: a mask grows point by
+    point, in a drawn order, while the reference accepts it, and at every
+    stage each point outside the feasible mask is tested."""
     feasible = bounded_components(sp, R, S)
-    for mask in data.draw(st.lists(st.integers(0, (1 << sp.n) - 1), min_size=1, max_size=20)):
-        pts = list(bits(mask))
-        assert pts == [i for i in range(sp.n) if mask >> i & 1]
-        assert feasible(mask) == _component_ok_reference(sp, pts, R, S)
-    # a NaN bound bounds nothing, as in the reference
-    assert not bounded_components(sp, R, math.nan)(1)
+    mask = 0
+    for q in data.draw(st.permutations(range(sp.n))):
+        for p in range(sp.n):
+            if not mask >> p & 1:
+                pts = list(bits(mask | 1 << p))
+                assert pts == [i for i in range(sp.n) if (mask | 1 << p) >> i & 1]
+                assert feasible(mask, p) == _component_ok_reference(sp, pts, R, S)
+        if _component_ok_reference(sp, list(bits(mask | 1 << q)), R, S):
+            mask |= 1 << q
+    # a negative or NaN bound bounds nothing, not even a lone point, as in the reference
+    if not S >= 0:
+        assert mask == 0
+    assert not bounded_components(sp, R, math.nan)(0, 0)
     assert not _component_ok_reference(sp, [0], R, math.nan)
 
 
